@@ -65,12 +65,11 @@ from .vecops import (
     vec_inverse,
     vec_k,
 )
-from .verify import BenchRow, CheckResult, RunReport, format_report, run_all
+from .verify import CheckResult, RunReport, format_report, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
     "BlockError",
     "BlockTensor",
     "CheckResult",

@@ -9,15 +9,16 @@ into a single tensor.  The grid itself can be transposed pairwise with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     DenseTensor,
     Shape,
     ShapeLike,
-    StorageOrder,
     as_shape,
-    iter_indices,
-    make_tensor,
+    check_index,
+    elements,
+    flat_offsets,
     storage_strides,
 )
 from .errors import BlockError, DimError
@@ -59,16 +60,9 @@ class BlockTensor:
 
     def block_at(self, outer_idx) -> DenseTensor:
         """Block at the given outer grid index."""
-        pos = 0
-        strides = storage_strides(self.outer_shape, StorageOrder.FIRST_INDEX_FASTEST)
-        for q, m, s in zip(outer_idx, self.outer_shape.dims, strides):
-            if not 0 <= q < m:
-                raise IndexError(
-                    f"outer index {tuple(outer_idx)} out of range for grid "
-                    f"{list(self.outer_shape.dims)}"
-                )
-            pos += q * s
-        return self.blocks[pos]
+        idx = check_index(self.outer_shape, outer_idx)
+        strides = storage_strides(self.outer_shape)
+        return self.blocks[sum(q * s for q, s in zip(idx, strides))]
 
 
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
@@ -88,18 +82,17 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
         sub.append(M // T)
     block_shape = Shape(tuple(sub))
 
-    # flat offsets instead of per-element index checks: every gathered
-    # index is constructed in range
-    strides = t.strides
-    locals_flat = [
-        sum(l * st for l, st in zip(local, strides))
-        for local in iter_indices(block_shape)
+    # one gather over the source: block-local indices vary fastest, then the
+    # grid index, whose step along dimension n is (M_n/T_n) * stride_n
+    grid_strides = tuple(sn * st for sn, st in zip(sub, t.strides))
+    offsets = flat_offsets(block_shape.dims + outer.dims, t.strides + grid_strides)
+    flat = tuple(map(t.data.__getitem__, offsets))
+    n = block_shape.size
+    strides = storage_strides(block_shape)
+    blocks = [
+        DenseTensor(block_shape, flat[i : i + n], strides)
+        for i in range(0, len(flat), n)
     ]
-    blocks = []
-    for q in iter_indices(outer):
-        base = sum(qn * sn * st for qn, sn, st in zip(q, sub, strides))
-        data = [t.data[base + off] for off in locals_flat]
-        blocks.append(make_tensor(block_shape, data))
     return BlockTensor(outer, block_shape, tuple(blocks))
 
 
@@ -110,19 +103,20 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     keeps explicit rank ``k`` even when some extents are 1; squeezing is a
     separate, caller-controlled step.
     """
-    sub = bt.block_shape.dims
-    dims = tuple(T * S for T, S in zip(bt.outer_shape.dims, sub))
-    shape = Shape(dims)
-    outer_strides = storage_strides(bt.outer_shape, StorageOrder.FIRST_INDEX_FASTEST)
-    data = []
-    for p in iter_indices(shape):
-        pos = 0
-        for pn, sn, os in zip(p, sub, outer_strides):
-            pos += (pn // sn) * os
-        blk = bt.blocks[pos]
-        flat = sum((pn % sn) * bs for pn, sn, bs in zip(p, sub, blk.strides))
-        data.append(blk.data[flat])
-    return make_tensor(shape, data)
+    sub, grid = bt.block_shape.dims, bt.outer_shape.dims
+    shape = Shape(tuple(T * S for T, S in zip(grid, sub)))
+    # the blocks' elements end to end, each block first index fastest
+    flat = list(chain.from_iterable(map(elements, bt.blocks)))
+    # result index p_n = q_n * S_n + l_n, so listing the result first index
+    # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest
+    n = bt.block_shape.size
+    steps = zip(storage_strides(bt.block_shape), storage_strides(bt.outer_shape))
+    offsets = flat_offsets(
+        tuple(chain.from_iterable(zip(sub, grid))),
+        tuple(chain.from_iterable((ls, gs * n) for ls, gs in steps)),
+    )
+    data = tuple(map(flat.__getitem__, offsets))
+    return DenseTensor(shape, data, storage_strides(shape))
 
 
 def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
@@ -136,13 +130,9 @@ def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     if m == n:
         return bt
     a, b = m - 1, n - 1
-    new_dims = list(bt.outer_shape.dims)
-    new_dims[a], new_dims[b] = new_dims[b], new_dims[a]
-    new_outer = Shape(tuple(new_dims))
-
-    new_blocks = []
-    for q in iter_indices(new_outer):
-        src = list(q)
-        src[a], src[b] = src[b], src[a]
-        new_blocks.append(bt.block_at(tuple(src)))
-    return BlockTensor(new_outer, bt.block_shape, tuple(new_blocks))
+    dims = list(bt.outer_shape.dims)
+    strides = list(storage_strides(bt.outer_shape))
+    dims[a], dims[b] = dims[b], dims[a]
+    strides[a], strides[b] = strides[b], strides[a]
+    new_blocks = tuple(map(bt.blocks.__getitem__, flat_offsets(dims, strides)))
+    return BlockTensor(Shape(tuple(dims)), bt.block_shape, new_blocks)

@@ -14,11 +14,22 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import dataclass
 
 from . import indexmap, kron2d, vecops, verify
 from .core import Shape, make_tensor, tensors_equal
 from .errors import ShapeError, TensorError, VerificationError
 from .tensorfile import read_tensor, write_tensor
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    """One timed benchmark measurement."""
+
+    shape_text: str
+    path: str
+    median_ns: int
+    elements_per_sec: float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,7 +236,7 @@ def _cmd_bench(args) -> int:
                 samples.append(time.perf_counter_ns() - start)
             median_ns = int(statistics.median(samples))
             rate = shape.size * 1_000_000_000 / max(median_ns, 1)
-            rows.append(verify.BenchRow(text, path, median_ns, rate))
+            rows.append(BenchRow(text, path, median_ns, rate))
 
     print("shape,path,median_ns,elements_per_sec")
     for r in rows:

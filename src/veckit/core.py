@@ -1,11 +1,12 @@
 """Dense k-dimensional tensor values and their elementary operations.
 
 A :class:`DenseTensor` couples a :class:`Shape` with a flat tuple of scalar
-elements and a storage-order tag.  The tag fixes how the flat data maps to
-multi-indices at construction time; every operation in this package is
-defined purely in terms of ``(shape, index)`` lookups, so two tensors that
-hold the same logical elements behave identically no matter how either one
-happens to be stored.
+elements and one stride per dimension: the element at ``(p_1, ..., p_k)``
+sits at storage offset ``sum(p_n * stride_n)``.  Strides are the only layout
+fact.  Every operation in this package is defined purely in terms of
+``(shape, index)`` lookups, so two tensors that hold the same logical
+elements behave identically no matter how either one is stored, and a
+dimension permutation is a relabeling of strides over the same storage.
 
 Conventions used throughout the package:
 
@@ -18,9 +19,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Sequence, Union
 
 from .errors import DimError, ShapeError
@@ -33,7 +35,7 @@ _MAX_SIZE = 2 ** 63
 
 
 class StorageOrder(Enum):
-    """How a flat data sequence maps onto multi-indices."""
+    """Contiguous layout presets; :func:`storage_strides` turns one into strides."""
 
     #: The first index varies quickest (column-major for matrices).
     FIRST_INDEX_FASTEST = "first-index-fastest"
@@ -91,31 +93,40 @@ def as_shape(value: ShapeLike) -> Shape:
     return Shape(tuple(value))
 
 
-def storage_strides(shape: Shape, order: StorageOrder) -> tuple[int, ...]:
-    """Per-dimension offsets into flat storage for the given order."""
-    strides = [0] * shape.rank
-    acc = 1
-    if order is StorageOrder.FIRST_INDEX_FASTEST:
-        for i in range(shape.rank):
-            strides[i] = acc
-            acc *= shape.dims[i]
-    else:
-        for i in reversed(range(shape.rank)):
-            strides[i] = acc
-            acc *= shape.dims[i]
-    return tuple(strides)
+def storage_strides(
+    shape: Shape, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
+) -> tuple[int, ...]:
+    """Per-dimension offsets into contiguous flat storage in the given order."""
+    last = order is StorageOrder.LAST_INDEX_FASTEST
+    dims = shape.dims[::-1] if last else shape.dims
+    strides = tuple(math.prod(dims[:i]) for i in range(len(dims)))
+    return strides[::-1] if last else strides
+
+
+def flat_offsets(dims: Sequence[int], strides: Sequence[int]) -> Sequence[int]:
+    """Storage offset of every index of ``dims``, first index fastest.
+
+    Reverse ``dims`` and ``strides`` for last index fastest.  Extents above 1
+    need a nonzero stride.  While the leading dimensions are contiguous the
+    offsets stay a ``range``, so no list of them is built.
+    """
+    offsets = range(1)
+    for m, s in zip(dims, strides):
+        if m > 1 and isinstance(offsets, range) and s == len(offsets):
+            offsets = range(m * s)
+        elif m > 1:
+            offsets = [step + o for step in range(0, m * s, s) for o in offsets]
+    return offsets
 
 
 def iter_indices(
     shape: ShapeLike, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
 ) -> Iterator[IndexTuple]:
-    """Yield every valid index tuple of ``shape`` in the given order."""
+    """Every valid index tuple of ``shape``, listed in the given order."""
     dims = as_shape(shape).dims
     if order is StorageOrder.LAST_INDEX_FASTEST:
-        yield from product(*map(range, dims))
-    else:
-        for rev in product(*map(range, reversed(dims))):
-            yield rev[::-1]
+        return product(*map(range, dims))
+    return (rev[::-1] for rev in product(*map(range, reversed(dims))))
 
 
 def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
@@ -133,27 +144,38 @@ def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
 
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """Immutable dense tensor: shape, flat scalar storage, storage order.
+    """Immutable dense tensor: shape, flat scalar storage, per-dimension strides.
 
-    Use :func:`tensors_equal` for logical comparison; two tensors built from
-    differently ordered data compare equal whenever their shapes match and
-    every co-indexed element matches.
+    The strides must map the indices one to one onto ``0 .. size-1``;
+    extent-1 dimensions may carry any stride.  Compare with
+    :func:`tensors_equal`, which looks only at shapes and co-indexed elements.
     """
 
     shape: Shape
     data: tuple
-    order: StorageOrder
-    strides: tuple[int, ...] = field(init=False, repr=False)
+    strides: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.data, tuple):
             object.__setattr__(self, "data", tuple(self.data))
+        if not isinstance(self.strides, tuple):
+            object.__setattr__(self, "strides", tuple(self.strides))
+        dims = self.shape.dims
         if len(self.data) != self.shape.size:
             raise ShapeError(
                 f"data length {len(self.data)} does not match "
-                f"shape {list(self.shape.dims)} (size {self.shape.size})"
+                f"shape {list(dims)} (size {self.shape.size})"
             )
-        object.__setattr__(self, "strides", storage_strides(self.shape, self.order))
+        strides = self.strides
+        if len(strides) != len(dims) or not all(type(s) is int for s in strides):
+            raise ShapeError(f"strides {strides} are not {len(dims)} integers")
+        # in increasing order each stride must be the product of the extents
+        # below it; exactly then the offsets are 0 .. size-1, each once
+        acc = 1
+        for s, m in sorted(zip(strides, dims)):
+            if m > 1 and s != acc:
+                raise ShapeError(f"strides {strides} do not tile shape {list(dims)}")
+            acc *= m
 
     @property
     def rank(self) -> int:
@@ -166,10 +188,7 @@ class DenseTensor:
     def get(self, idx: Sequence[int]) -> Scalar:
         """Element at the 0-indexed multi-index ``idx``."""
         idx = check_index(self.shape, idx)
-        offset = 0
-        for p, s in zip(idx, self.strides):
-            offset += p * s
-        return self.data[offset]
+        return self.data[sum(map(operator.mul, idx, self.strides))]
 
     def __getitem__(self, idx: Sequence[int]) -> Scalar:
         return self.get(idx)
@@ -179,7 +198,7 @@ class DenseTensor:
         suffix = ", ..." if len(self.data) > 8 else ""
         return (
             f"DenseTensor(shape={list(self.shape.dims)}, "
-            f"order={self.order.value!r}, data={preview}{suffix})"
+            f"strides={list(self.strides)}, data={preview}{suffix})"
         )
 
 
@@ -189,7 +208,18 @@ def make_tensor(
     order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST,
 ) -> DenseTensor:
     """Build a tensor from flat data laid out in the given storage order."""
-    return DenseTensor(as_shape(shape), tuple(data), order)
+    shape = as_shape(shape)
+    return DenseTensor(shape, tuple(data), storage_strides(shape, order))
+
+
+def elements(
+    t: DenseTensor, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
+) -> list:
+    """The logical elements of ``t`` listed in the given index order."""
+    dims, strides = t.shape.dims, t.strides
+    if order is StorageOrder.LAST_INDEX_FASTEST:
+        dims, strides = dims[::-1], strides[::-1]
+    return list(map(t.data.__getitem__, flat_offsets(dims, strides)))
 
 
 def get(t: DenseTensor, idx: Sequence[int]) -> Scalar:
@@ -201,7 +231,7 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     """Swap dimensions ``m`` and ``n`` (1-indexed).
 
     The result holds the same elements with the two index positions
-    exchanged; ``transpose(t, m, m)`` is the identity.
+    exchanged, over the same storage; ``transpose(t, m, m)`` is the identity.
     """
     k = t.rank
     if not 1 <= m <= k or not 1 <= n <= k:
@@ -209,39 +239,32 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     if m == n:
         return t
     a, b = m - 1, n - 1
-    new_dims = list(t.shape.dims)
-    new_dims[a], new_dims[b] = new_dims[b], new_dims[a]
-    new_shape = Shape(tuple(new_dims))
-
-    def swapped(idx: IndexTuple) -> IndexTuple:
-        src = list(idx)
-        src[a], src[b] = src[b], src[a]
-        return tuple(src)
-
-    data = [t.get(swapped(idx)) for idx in iter_indices(new_shape)]
-    return DenseTensor(new_shape, tuple(data), StorageOrder.FIRST_INDEX_FASTEST)
+    dims, strides = list(t.shape.dims), list(t.strides)
+    dims[a], dims[b] = dims[b], dims[a]
+    strides[a], strides[b] = strides[b], strides[a]
+    return DenseTensor(Shape(tuple(dims)), t.data, tuple(strides))
 
 
 def squeeze_trailing(t: DenseTensor) -> DenseTensor:
     """Drop every trailing extent equal to 1; rank never falls below 1.
 
-    Removing trailing singleton dimensions changes neither the flat element
-    sequence (under either storage order) nor any element lookup, so the
-    stored data is reused as-is.
+    Removing trailing singleton dimensions changes no element lookup, so
+    the stored data is reused as-is.
     """
     dims = list(t.shape.dims)
     while len(dims) > 1 and dims[-1] == 1:
         dims.pop()
     if len(dims) == t.rank:
         return t
-    return DenseTensor(Shape(tuple(dims)), t.data, t.order)
+    return DenseTensor(Shape(tuple(dims)), t.data, t.strides[: len(dims)])
 
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:
     """Shape-strict logical equality: equal ranks, extents, and elements."""
     if a.shape.dims != b.shape.dims:
         return False
-    return all(a.get(idx) == b.get(idx) for idx in iter_indices(a.shape))
+    # element by element: list == would let a NaN equal itself by identity
+    return all(map(operator.eq, elements(a), elements(b)))
 
 
 def from_nested(nested) -> DenseTensor:
@@ -258,34 +281,20 @@ def from_nested(nested) -> DenseTensor:
             raise ShapeError("empty axis in nested data")
         dims.append(len(node))
         node = node[0]
-    if not dims:
-        return make_tensor((1,), (nested,), StorageOrder.LAST_INDEX_FASTEST)
-
-    flat: list = []
-
-    def collect(node, depth: int) -> None:
-        if depth == len(dims):
-            if isinstance(node, (list, tuple)):
-                raise ShapeError("ragged nesting: unexpected extra level")
-            flat.append(node)
-            return
-        if not isinstance(node, (list, tuple)) or len(node) != dims[depth]:
+    # flatten one level at a time, the inverse of to_nested's chunking
+    flat = [nested]
+    for depth, m in enumerate(dims):
+        if any(not isinstance(n, (list, tuple)) or len(n) != m for n in flat):
             raise ShapeError(f"ragged nesting at depth {depth}")
-        for child in node:
-            collect(child, depth + 1)
-
-    collect(nested, 0)
-    return make_tensor(tuple(dims), flat, StorageOrder.LAST_INDEX_FASTEST)
+        flat = list(chain.from_iterable(flat))
+    if any(isinstance(x, (list, tuple)) for x in flat):
+        raise ShapeError("ragged nesting: unexpected extra level")
+    return make_tensor(tuple(dims) or (1,), flat, StorageOrder.LAST_INDEX_FASTEST)
 
 
 def to_nested(t: DenseTensor):
     """Inverse of :func:`from_nested`: nested lists, outermost level first."""
-    dims = t.shape.dims
-
-    def build(prefix: IndexTuple):
-        depth = len(prefix)
-        if depth == len(dims):
-            return t.get(prefix)
-        return [build(prefix + (i,)) for i in range(dims[depth])]
-
-    return build(())
+    level = elements(t, StorageOrder.LAST_INDEX_FASTEST)
+    for m in reversed(t.shape.dims[1:]):
+        level = [level[i : i + m] for i in range(0, len(level), m)]
+    return level

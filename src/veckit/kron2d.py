@@ -14,7 +14,7 @@ meant as a correctness oracle, not a performance kernel.
 
 from __future__ import annotations
 
-from .core import DenseTensor, Shape, from_nested, make_tensor, transpose
+from .core import DenseTensor, Shape, from_nested, to_nested, transpose
 from .errors import ShapeError
 from .vecops import VecResult, vec_k
 
@@ -28,36 +28,25 @@ def _dims2(x: DenseTensor, what: str) -> tuple[int, int]:
     return x.shape.dims[0], x.shape.dims[1]
 
 
-def _rows(x: DenseTensor) -> list[list]:
-    m, n = x.shape.dims
-    si, sj = x.strides
-    d = x.data
-    return [[d[i * si + j * sj] for j in range(n)] for i in range(m)]
-
-
-def _from_rows(rows: list[list]) -> Matrix2D:
-    return from_nested(rows)
-
-
 def identity_matrix(n: int) -> Matrix2D:
     """The n x n identity."""
     if n < 1:
         raise ShapeError(f"identity size must be positive, got {n}")
-    return _from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return from_nested([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def as_column(a: VecResult) -> Matrix2D:
-    """A length-M vector as an M x 1 matrix."""
+    """A length-M vector as an M x 1 matrix sharing the vector's storage."""
     if a.rank != 1:
         raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    return make_tensor(Shape((a.shape.size, 1)), a.data, a.order)
+    return DenseTensor(Shape((a.size, 1)), a.data, a.strides + (a.size,))
 
 
 def as_row(a: VecResult) -> Matrix2D:
-    """A length-N vector as a 1 x N matrix."""
+    """A length-N vector as a 1 x N matrix sharing the vector's storage."""
     if a.rank != 1:
         raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    return make_tensor(Shape((1, a.shape.size)), a.data, a.order)
+    return DenseTensor(Shape((1, a.size)), a.data, (a.size,) + a.strides)
 
 
 def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
@@ -66,8 +55,8 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     n2, p = _dims2(y, "right factor")
     if n != n2:
         raise ShapeError(f"inner extents differ: {m}x{n} times {n2}x{p}")
-    xr = _rows(x)
-    yr = _rows(y)
+    xr = to_nested(x)
+    yr = to_nested(y)
     out = []
     for i in range(m):
         row = [0] * p
@@ -77,22 +66,22 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
                 for j in range(p):
                     row[j] += xv * yrow[j]
         out.append(row)
-    return _from_rows(out)
+    return from_nested(out)
 
 
 def kronecker(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     """Kronecker product: (i*My + r, j*Ny + s) holds x(i,j) * y(r,s)."""
     mx, nx = _dims2(x, "left factor")
     my, ny = _dims2(y, "right factor")
-    xr = _rows(x)
-    yr = _rows(y)
+    xr = to_nested(x)
+    yr = to_nested(y)
     out = []
     for i in range(mx):
         xrow = xr[i]
         for r in range(my):
             yrow = yr[r]
             out.append([xv * yv for xv in xrow for yv in yrow])
-    return _from_rows(out)
+    return from_nested(out)
 
 
 def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
@@ -100,7 +89,7 @@ def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
     m, n = _dims2(x, "matrix")
     if not 0 <= k < n:
         raise IndexError(f"column {k} out of range for {m}x{n}")
-    return _from_rows([[x.get((i, k))] for i in range(m)])
+    return from_nested([[x.get((i, k))] for i in range(m)])
 
 
 def vec2(x: Matrix2D) -> VecResult:

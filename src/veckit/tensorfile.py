@@ -3,38 +3,48 @@
 The only persistent format.  ``shape`` is the list of extents, ``data``
 the flat element list laid out in ``order``: "row-major" (last index
 fastest, the default when the field is absent) or "column-major" (first
-index fastest).  Numbers are 64-bit floats; integer-valued data round
-trips exactly.  Files written here always declare ``order`` explicitly.
+index fastest).  Numbers are finite 64-bit floats, so every file is strict
+JSON; integer-valued data round trips exactly.  Files written here always
+declare ``order`` explicitly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
-from .core import DenseTensor, Shape, StorageOrder, iter_indices, make_tensor
+from .core import DenseTensor, Shape, StorageOrder, elements, make_tensor
 from .errors import FormatError, ShapeError
 
 _ORDER_TAGS = {
     "row-major": StorageOrder.LAST_INDEX_FASTEST,
     "column-major": StorageOrder.FIRST_INDEX_FASTEST,
 }
-_TAG_FOR_ORDER = {v: k for k, v in _ORDER_TAGS.items()}
 
 PathLike = Union[str, Path]
 
 
-def _coerce_number(value, pos: int) -> float:
+def _coerce_number(value, pos: int, path: PathLike) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"data[{pos}] is not a number: {value!r}")
-    return float(value)
+        raise FormatError(f"{path}: data[{pos}] is not a number: {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FormatError(f"{path}: data[{pos}] is beyond the float range") from None
+    if not math.isfinite(number):
+        raise FormatError(f"{path}: data[{pos}] is not finite: {value!r}")
+    return number
 
 
 def read_tensor(path: PathLike) -> DenseTensor:
     """Load a tensor file, honoring its declared element order."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -42,24 +52,23 @@ def read_tensor(path: PathLike) -> DenseTensor:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # nested too deep to parse, or an integer literal too long to convert
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at the top level")
     for field in ("shape", "data"):
         if field not in doc:
             raise FormatError(f"{path}: missing required field {field!r}")
     raw_shape = doc["shape"]
-    if (
-        not isinstance(raw_shape, list)
-        or not raw_shape
-        or not all(isinstance(m, int) and not isinstance(m, bool) for m in raw_shape)
-    ):
-        raise FormatError(f"{path}: shape must be a non-empty list of integers")
+    if not isinstance(raw_shape, list):
+        raise FormatError(f"{path}: shape must be a list of integers")
     try:
         shape = Shape(tuple(raw_shape))
     except ShapeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise FormatError(f"{path}: shape: {exc}") from exc
     tag = doc.get("order", "row-major")
-    if tag not in _ORDER_TAGS:
+    if not isinstance(tag, str) or tag not in _ORDER_TAGS:
         raise FormatError(
             f"{path}: unknown order {tag!r}; expected one of "
             f"{sorted(_ORDER_TAGS)}"
@@ -72,7 +81,7 @@ def read_tensor(path: PathLike) -> DenseTensor:
             f"{path}: {len(raw_data)} data values for shape "
             f"{list(shape.dims)} of size {shape.size}"
         )
-    data = [_coerce_number(v, i) for i, v in enumerate(raw_data)]
+    data = [_coerce_number(v, i, path) for i, v in enumerate(raw_data)]
     return make_tensor(shape, data, _ORDER_TAGS[tag])
 
 
@@ -84,17 +93,14 @@ def write_tensor(
     """Write a tensor file in the given element order (always declared).
 
     Elements are emitted as 64-bit floats via their shortest round-trip
-    decimal form, so read-after-write reproduces the values exactly.
+    decimal form, so read-after-write reproduces the values exactly.  A
+    non-finite element raises :class:`FormatError` and writes nothing.
     """
     if order not in _ORDER_TAGS:
         raise FormatError(
             f"unknown order {order!r}; expected one of {sorted(_ORDER_TAGS)}"
         )
-    target = _ORDER_TAGS[order]
-    if t.order is target:
-        flat = [float(v) for v in t.data]
-    else:
-        flat = [float(t.get(p)) for p in iter_indices(t.shape, target)]
+    flat = map(float, elements(t, _ORDER_TAGS[order]))
     # integer-valued floats print as integers, everything else as the
     # shortest decimal that parses back to the same 64-bit value
     doc = {
@@ -102,4 +108,8 @@ def write_tensor(
         "order": order,
         "data": [int(v) if v.is_integer() else v for v in flat],
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise FormatError(f"{path}: cannot write NaN or infinity") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")

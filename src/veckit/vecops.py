@@ -11,6 +11,8 @@ determine the split.
 
 from __future__ import annotations
 
+import math
+
 from .blocking import block, transpose_outer, unblock
 from .core import DenseTensor, Shape, ShapeLike, as_shape, transpose
 from .errors import DimError, ShapeError
@@ -20,15 +22,15 @@ VecResult = DenseTensor
 
 
 def _append_trailing_axis(t: DenseTensor) -> DenseTensor:
-    """Add a trailing extent-1 dimension; element order is unchanged."""
-    return DenseTensor(Shape(t.shape.dims + (1,)), t.data, t.order)
+    """Add a trailing extent-1 dimension; the storage is shared."""
+    return DenseTensor(Shape(t.shape.dims + (1,)), t.data, t.strides + (t.size,))
 
 
 def _drop_trailing_axis(t: DenseTensor) -> DenseTensor:
     """Remove exactly one trailing extent-1 dimension."""
     if t.rank < 2 or t.shape.dims[-1] != 1:
         raise ShapeError(f"no trailing extent-1 dimension in {list(t.shape.dims)}")
-    return DenseTensor(Shape(t.shape.dims[:-1]), t.data, t.order)
+    return DenseTensor(Shape(t.shape.dims[:-1]), t.data, t.strides[:-1])
 
 
 def shift(t: DenseTensor) -> DenseTensor:
@@ -101,10 +103,7 @@ def vec_inverse(a: VecResult, target: ShapeLike) -> DenseTensor:
         )
     t = a
     for i in range(1, target.rank):
-        suffix = 1
-        for m in target.dims[i:]:
-            suffix *= m
-        t = shift_inverse(t, suffix)
+        t = shift_inverse(t, math.prod(target.dims[i:]))
     return t
 
 

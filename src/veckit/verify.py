@@ -18,6 +18,7 @@ from . import indexmap, kron2d, vecops
 from .core import (
     DenseTensor,
     Shape,
+    elements,
     from_nested,
     iter_indices,
     make_tensor,
@@ -45,21 +46,10 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class BenchRow:
-    """One timed benchmark measurement."""
-
-    shape_text: str
-    path: str
-    median_ns: int
-    elements_per_sec: float
-
-
-@dataclass(frozen=True)
 class RunReport:
-    """Results of a verification or benchmark run."""
+    """Results of a verification run."""
 
     checks: tuple[CheckResult, ...] = ()
-    bench_rows: tuple[BenchRow, ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -77,8 +67,13 @@ def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
     return make_tensor(shape, [rng.randint(-9, 9) for _ in range(shape.size)])
 
 
+_SHOWN = 16  # elements per counterexample, so failure reports stay bounded
+
+
 def _describe(t: DenseTensor) -> str:
-    return f"shape={list(t.shape.dims)} data={list(t.data)}"
+    shown = elements(t)[:_SHOWN]
+    more = f" ... ({t.size} elements)" if t.size > _SHOWN else ""
+    return f"shape={list(t.shape.dims)} data={shown}{more}"
 
 
 def _fail(name: str, seed: int, case: int, message: str) -> CheckResult:
@@ -95,10 +90,10 @@ def _check_golden_shift(name, rng, seed, cfg) -> CheckResult:
         return _fail(name, seed, 0, f"shift of golden tensor gave {_describe(got)}")
     v = vecops.vec_k(t)
     if list(v.data) != GOLDEN_VEC:
-        return _fail(name, seed, 1, f"vec of golden tensor gave {list(v.data)}")
+        return _fail(name, seed, 1, f"vec of golden tensor gave {_describe(v)}")
     r = vecops.rvec_k(t)
     if list(r.data) != GOLDEN_RVEC:
-        return _fail(name, seed, 2, f"rvec of golden tensor gave {list(r.data)}")
+        return _fail(name, seed, 2, f"rvec of golden tensor gave {_describe(r)}")
     return CheckResult(name, True, 3)
 
 
@@ -126,8 +121,8 @@ def _check_two_path(name, rng, seed, cfg) -> CheckResult:
         if not tensors_equal(block_path, index_path):
             return _fail(
                 name, seed, i,
-                f"paths disagree on {_describe(t)}: block {list(block_path.data)}"
-                f" vs index {list(index_path.data)}",
+                f"paths disagree on {_describe(t)}: block {_describe(block_path)}"
+                f" vs index {_describe(index_path)}",
             )
         row_block = vecops.rvec_k(t)
         row_index = indexmap.vec_by_index(vecops.reverse_dims(t))
@@ -135,7 +130,7 @@ def _check_two_path(name, rng, seed, cfg) -> CheckResult:
             return _fail(
                 name, seed, i,
                 f"row paths disagree on {_describe(t)}: block "
-                f"{list(row_block.data)} vs index {list(row_index.data)}",
+                f"{_describe(row_block)} vs index {_describe(row_index)}",
             )
     return CheckResult(name, True, cases)
 
@@ -210,7 +205,7 @@ def _check_collapse_witness(name, rng, seed, cfg) -> CheckResult:
             return _fail(
                 name, seed, i,
                 f"collapse witness broke for ({a}, {b}, {c}, {d}): "
-                f"{list(v1.data)} vs {list(v2.data)}",
+                f"{_describe(v1)} vs {_describe(v2)}",
             )
     return CheckResult(name, True, cases)
 
@@ -309,8 +304,6 @@ _CHECKS = (
     ("identity-chain-residual", _check_identity_chain),
     ("kron-closed-form", _check_kron_closed_form),
 )
-
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def run_all(

@@ -1,17 +1,21 @@
 """Command-line behavior: subcommands, exit codes, CSV, fault reporting."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import veckit as vk
-from veckit import cli, vecops
+from veckit import cli, vecops, verify
 from veckit.tensorfile import read_tensor
 
 from conftest import GOLDEN_RVEC, GOLDEN_SHIFTED, GOLDEN_VEC
@@ -147,6 +151,29 @@ def test_exit_code_bad_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _is_one_error_line(err):
+    return err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"shape": [1], "data": [1' + b"0" * 400 + b"]}",
+        b'{"shape": [1], "data": [1' + b"0" * 5000 + b"]}",
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+    ],
+    ids=["int-beyond-float", "int-beyond-digit-limit", "not-utf8", "deep-nesting"],
+)
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, content):
+    p = tmp_path / "in.json"
+    p.write_bytes(content)
+    assert cli.main(["vec", str(p), str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err)
+    assert str(p) in err
+
+
 def test_exit_code_bad_shape_argument(tmp_path, golden_file, capsys):
     v = tmp_path / "v.json"
     assert cli.main(["vec", str(golden_file), str(v)]) == 0
@@ -189,7 +216,7 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
         if out.size >= 2:
             data = list(out.data)
             data[0], data[1] = data[1], data[0]
-            return vk.make_tensor(out.shape, data, out.order)
+            return vk.DenseTensor(out.shape, tuple(data), out.strides)
         return out
 
     monkeypatch.setattr(vecops, "shift", broken)
@@ -201,6 +228,27 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     # same seed, same counterexample: the report is reproducible
     assert cli.main(["verify", "--seed", "7", "--cases", "20"]) == 2
     assert capsys.readouterr().out == first
+
+
+def test_verify_report_on_large_shapes_is_bounded(monkeypatch):
+    real = vecops.shift
+
+    def broken(t):
+        out = real(t)
+        if out.size > 100:
+            data = list(out.data)
+            data[0], data[1] = data[1], data[0]
+            return vk.DenseTensor(out.shape, tuple(data), out.strides)
+        return out
+
+    monkeypatch.setattr(vecops, "shift", broken)
+    report = verify.run_all(seed=3, max_rank=4, max_extent=8, cases=20)
+    failed = [c for c in report.checks if not c.passed]
+    assert failed
+    for c in failed:
+        assert c.detail.startswith("seed=3 case=")
+    lines = verify.format_report(report).splitlines()
+    assert max(len(line) for line in lines) < 1000
 
 
 def test_bench_csv(capsys):
@@ -222,6 +270,34 @@ def test_bench_rejects_fault(monkeypatch, capsys):
     )
     assert cli.main(["bench", "--shapes", "2x2", "--reps", "1"]) == 2
     assert "disagree" in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+_tensor_docs = st.fixed_dictionaries(
+    {"shape": _json_values, "data": _json_values},
+    optional={"order": st.sampled_from(["row-major", "column-major"]) | _json_values},
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.binary() | _tensor_docs)
+def test_any_input_file_exits_cleanly(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.json"
+        src.write_bytes(content)
+        out = str(Path(tmp) / "out.json")
+        for argv in (["vec"], ["unvec", "--shape", "2x3"], ["shift"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([*argv, str(src), out])
+            assert code == 0 or (code == 1 and _is_one_error_line(err.getvalue()))
 
 
 def _console_scripts():

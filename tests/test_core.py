@@ -1,4 +1,6 @@
-"""Tensor values: shapes, indexing, storage orders, elementary reshaping."""
+"""Tensor values: shapes, indexing, strides, elementary reshaping."""
+
+import math
 
 import pytest
 
@@ -73,6 +75,23 @@ def test_get_honors_storage_order():
     assert vk.tensors_equal(fif, lif)
 
 
+@pytest.mark.parametrize(
+    "strides",
+    [(1,), (1, 2, 6), (1, 1), (1, 3), (2, 1), (0, 2), (-1, 2), (1.0, 2), (1, None)],
+    ids=["short", "long", "repeated", "gapped", "overlapping", "zero", "negative",
+         "float", "none"],
+)
+def test_dense_tensor_rejects_strides_that_do_not_tile(strides):
+    with pytest.raises(ShapeError):
+        vk.DenseTensor(vk.Shape((2, 3)), tuple(range(6)), strides)
+
+
+def test_dense_tensor_extent_one_dims_take_any_stride():
+    t = vk.DenseTensor(vk.Shape((2, 1, 3)), tuple(range(6)), (1, 99, 2))
+    assert t.get((1, 0, 2)) == 5
+    assert vk.to_nested(t) == [[[0, 2, 4]], [[1, 3, 5]]]
+
+
 def test_getitem_and_function_form(golden):
     assert golden[(0, 1, 0)] == 4
     assert golden[(1, 1, 2)] == 12
@@ -89,6 +108,15 @@ def test_get_rejects_bad_index(golden, idx):
 def test_transpose_matrix():
     t = vk.from_nested([[1, 2], [3, 4]])
     assert vk.to_nested(vk.transpose(t, 1, 2)) == [[1, 3], [2, 4]]
+
+
+def test_transpose_shares_storage(golden):
+    swapped = vk.transpose(golden, 1, 2)
+    assert swapped.data is golden.data
+    assert vk.to_nested(swapped) == [
+        [[1, 2, 3], [7, 8, 9]],
+        [[4, 5, 6], [10, 11, 12]],
+    ]
 
 
 def test_transpose_same_dim_is_identity():
@@ -141,6 +169,13 @@ def test_tensors_equal_is_shape_strict():
     assert not vk.tensors_equal(a, b)
     assert vk.tensors_equal(a, vk.make_tensor((2,), [1, 2]))
     assert not vk.tensors_equal(a, vk.make_tensor((2,), [1, 3]))
+
+
+def test_tensors_equal_nan_never_equal():
+    t = vk.make_tensor((2,), [math.nan, 1.0])
+    assert not vk.tensors_equal(t, t)
+    view = vk.transpose(vk.make_tensor((2, 1), [1.0, math.nan]), 1, 2)
+    assert not vk.tensors_equal(view, view)
 
 
 def test_from_nested_golden_layout():

@@ -33,7 +33,11 @@ def tensors(draw, min_rank=1, max_rank=4):
     )
     size = math.prod(dims)
     data = draw(st.lists(elements, min_size=size, max_size=size))
-    return vk.make_tensor(dims, data)
+    # a transposed view shares storage and carries permuted strides; m == n
+    # leaves the contiguous tensor as it is
+    m = draw(st.integers(1, len(dims)))
+    n = draw(st.integers(1, len(dims)))
+    return vk.transpose(vk.make_tensor(dims, data), m, n)
 
 
 @settings(deadline=None)

@@ -1,11 +1,12 @@
 """JSON tensor file reading and writing."""
 
 import json
+import math
 
 import pytest
 
 import veckit as vk
-from veckit import FormatError, ShapeError, read_tensor, write_tensor
+from veckit import FormatError, ShapeError, StorageOrder, read_tensor, write_tensor
 
 from conftest import GOLDEN_SHIFTED
 
@@ -42,6 +43,21 @@ def test_write_then_read_round_trip(tmp_path, golden):
         p = tmp_path / f"{order}.json"
         write_tensor(golden, p, order)
         assert vk.tensors_equal(read_tensor(p), golden)
+
+
+@pytest.mark.parametrize("view", ["transposed", "vec"])
+def test_write_strided_views_under_both_tags(tmp_path, golden, view):
+    t = vk.transpose(golden, 1, 3) if view == "transposed" else vk.vec_k(golden)
+    for tag, order in (
+        ("row-major", StorageOrder.LAST_INDEX_FASTEST),
+        ("column-major", StorageOrder.FIRST_INDEX_FASTEST),
+    ):
+        p = tmp_path / f"{tag}.json"
+        write_tensor(t, p, tag)
+        doc = json.loads(p.read_text())
+        assert doc["shape"] == list(t.shape.dims)
+        assert doc["data"] == [t.get(idx) for idx in vk.iter_indices(t.shape, order)]
+        assert vk.tensors_equal(read_tensor(p), t)
 
 
 def test_write_declares_order_explicitly(tmp_path):
@@ -87,6 +103,7 @@ def test_read_rejects_invalid_json(tmp_path):
         '{"shape": [], "data": []}',
         '{"shape": [2, 0], "data": []}',
         '{"shape": [2], "order": "diagonal", "data": [1, 2]}',
+        '{"shape": [2], "order": [], "data": [1, 2]}',
         '{"shape": [2], "data": 3}',
         '{"shape": [2], "data": [1, true]}',
         '{"shape": [2], "data": [1, "two"]}',
@@ -96,6 +113,21 @@ def test_read_rejects_malformed_documents(tmp_path, doc):
     p = _write(tmp_path / "bad.json", doc)
     with pytest.raises(FormatError):
         read_tensor(p)
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "Infinity", "-Infinity"])
+def test_read_rejects_non_finite_values(tmp_path, value):
+    p = _write(tmp_path / "t.json", f'{{"shape": [2], "data": [1, {value}]}}')
+    with pytest.raises(FormatError, match=r"data\[1\] is not finite"):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "t.json"
+    with pytest.raises(FormatError):
+        write_tensor(vk.make_tensor((2,), [1.0, value]), p)
+    assert not p.exists()
 
 
 def test_read_rejects_length_mismatch(tmp_path):
