@@ -22,6 +22,11 @@ from .errors import ShapeError, TensorError, VerificationError
 from .tensorfile import read_tensor, write_tensor
 
 
+# largest shape `bench` accepts, in elements (128x128x128); the timed runs
+# hold a few copies of the tensor, so a larger shape would exhaust memory
+_BENCH_MAX_ELEMENTS = 2**21
+
+
 @dataclass(frozen=True)
 class BenchRow:
     """One timed benchmark measurement."""
@@ -210,9 +215,15 @@ def _bench_tensor(shape: Shape):
 
 
 def _cmd_bench(args) -> int:
+    shapes = [(text, _parse_shape(text)) for text in args.shapes]
+    for text, shape in shapes:
+        if shape.size > _BENCH_MAX_ELEMENTS:
+            raise ShapeError(
+                f"bench shape {text} has {shape.size} elements; "
+                f"the limit is {_BENCH_MAX_ELEMENTS}"
+            )
     jobs = []
-    for text in args.shapes:
-        shape = _parse_shape(text)
+    for text, shape in shapes:
         t = _bench_tensor(shape)
         block_out = vecops.vec_k(t)
         index_out = indexmap.vec_by_index(t)

@@ -18,10 +18,7 @@ from .core import (
     ShapeLike,
     as_shape,
     check_index,
-    iter_indices,
     make_tensor,
-    storage_strides,
-    StorageOrder,
 )
 from .errors import ShapeError
 
@@ -74,20 +71,30 @@ def decompose_check(m: LinearIndex, shape: ShapeLike) -> bool:
 def vec_by_index(t: DenseTensor) -> DenseTensor:
     """Vectorize by direct index arithmetic: output[linear_index(p)] = t[p].
 
-    Same result as the shift-based fold, computed without any block or
-    transpose machinery.
+    Output position ``m`` holds the element whose digits are
+    ``p_l = (m // s_l) % M_l`` with ``s = index_strides(shape)``; its storage
+    offset is ``sum(p_l * t.strides[l])``, accumulated one dimension at a
+    time.  Same result as the shift-based fold, computed without any block
+    or transpose machinery.
     """
     shape = t.shape
-    out: list = [None] * shape.size
-    for p in iter_indices(shape):
-        out[linear_index(p, shape)] = t.get(p)
-    return make_tensor(Shape((shape.size,)), out)
+    positions = range(shape.size)
+    offsets = [0] * shape.size
+    for s, ext, stride in zip(index_strides(shape), shape.dims, t.strides):
+        # an extent-1 digit is always 0, whatever its stride
+        if ext > 1:
+            offsets = [
+                o + (m // s % ext) * stride for o, m in zip(offsets, positions)
+            ]
+    return make_tensor(Shape((shape.size,)), map(t.data.__getitem__, offsets))
 
 
 def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:
     """Rebuild the ``target``-shaped tensor from its vectorization.
 
-    Places ``a[m]`` at index ``tuple_index(m, target)``; inverse of
+    The element at index ``p`` sits at linear position
+    ``sum(p_l * s_l)`` with ``s = index_strides(target)``, so those are the
+    strides of the result over the vector's own storage; inverse of
     :func:`vec_by_index`.
     """
     target = as_shape(target)
@@ -98,9 +105,5 @@ def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:
             f"vector of length {a.shape.size} cannot fill shape "
             f"{list(target.dims)} of size {target.size}"
         )
-    storage = storage_strides(target, StorageOrder.FIRST_INDEX_FASTEST)
-    out: list = [None] * target.size
-    for m in range(target.size):
-        p = tuple_index(m, target)
-        out[sum(pn * sn for pn, sn in zip(p, storage))] = a.data[m]
-    return make_tensor(target, out)
+    # a rank-1 tensor's data is always in logical order
+    return DenseTensor(target, a.data, index_strides(target))

@@ -94,7 +94,8 @@ def write_tensor(
 
     Elements are emitted as 64-bit floats via their shortest round-trip
     decimal form, so read-after-write reproduces the values exactly.  A
-    non-finite element raises :class:`FormatError` and writes nothing.
+    non-finite element, or an integer beyond the float range, raises
+    :class:`FormatError` and writes nothing.
     """
     if order not in _ORDER_TAGS:
         raise FormatError(
@@ -103,11 +104,11 @@ def write_tensor(
     flat = map(float, elements(t, _ORDER_TAGS[order]))
     # integer-valued floats print as integers, everything else as the
     # shortest decimal that parses back to the same 64-bit value
-    doc = {
-        "shape": list(t.shape.dims),
-        "order": order,
-        "data": [int(v) if v.is_integer() else v for v in flat],
-    }
+    try:
+        data = [int(v) if v.is_integer() else v for v in flat]
+    except OverflowError:
+        raise FormatError(f"{path}: an element is beyond the float range") from None
+    doc = {"shape": list(t.shape.dims), "order": order, "data": data}
     try:
         text = json.dumps(doc, allow_nan=False)
     except ValueError:

@@ -272,6 +272,20 @@ def test_bench_rejects_fault(monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["100000x100000x100000", str(cli._BENCH_MAX_ELEMENTS + 1)]
+)
+def test_bench_rejects_oversized_shape(monkeypatch, capsys, text):
+    def no_tensor(shape):
+        raise AssertionError("bench built a tensor for an oversized shape")
+
+    monkeypatch.setattr(cli, "_bench_tensor", no_tensor)
+    assert cli.main(["bench", "--shapes", "2x2", text, "--reps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err)
+    assert text in err
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (

@@ -1,8 +1,11 @@
 """Mixed-radix index map: encode, decode, digit identity, oracle paths."""
 
+import sys
+
 import pytest
 
 import veckit as vk
+from veckit import blocking, core
 from veckit import (
     ShapeError,
     decompose_check,
@@ -13,7 +16,7 @@ from veckit import (
     vec_by_index,
 )
 
-from conftest import GOLDEN_VEC, exhaustive_shapes, sequential
+from conftest import GOLDEN_NESTED, GOLDEN_VEC, exhaustive_shapes, sequential
 
 
 def test_index_strides():
@@ -118,3 +121,43 @@ def test_index_round_trip_small_corpus():
     for dims in exhaustive_shapes(max_rank=3, max_extent=3):
         t = sequential(dims)
         assert vk.tensors_equal(unvec_by_index(vec_by_index(t), dims), t)
+
+
+def test_vec_by_index_extent_one_strides_are_ignored():
+    t = vk.DenseTensor(vk.Shape((3, 1, 2)), (1, 2, 3, 4, 5, 6), (1, 99, 3))
+    assert list(vec_by_index(t).data) == list(vk.vec_k(t).data)
+
+
+def _break_block_route(monkeypatch):
+    """Make every block-route helper raise, wherever a module refers to it."""
+    originals = {
+        core.flat_offsets,
+        core.elements,
+        blocking.block,
+        blocking.unblock,
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the index route called a block-route helper")
+
+    for name, module in list(sys.modules.items()):
+        if name == "veckit" or name.startswith("veckit."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+def test_index_route_is_independent_of_the_block_route(monkeypatch, golden):
+    # the same logical tensor with strides (1, 6, 2): neither preset order
+    view = vk.transpose(
+        vk.make_tensor((2, 3, 2), core.elements(vk.transpose(golden, 2, 3))), 2, 3
+    )
+    assert view.strides == (1, 6, 2)
+    with monkeypatch.context() as patch:
+        _break_block_route(patch)
+        with pytest.raises(AssertionError):
+            vk.vec_k(golden)
+        assert list(vec_by_index(golden).data) == GOLDEN_VEC
+        assert list(vec_by_index(view).data) == GOLDEN_VEC
+        back = unvec_by_index(vec_by_index(golden), golden.shape)
+    assert vk.to_nested(back) == GOLDEN_NESTED

@@ -130,6 +130,23 @@ def test_write_rejects_non_finite_values(tmp_path, value):
     assert not p.exists()
 
 
+def test_write_rejects_int_beyond_float_range(tmp_path):
+    p = tmp_path / "t.json"
+    with pytest.raises(FormatError, match="beyond the float range"):
+        write_tensor(vk.make_tensor((1,), [10**400]), p)
+    assert not p.exists()
+
+
+def test_int_beyond_2_53_rounds_to_float64(tmp_path):
+    # 2**53 + 1 has no float64; it rounds to the nearest even, 2**53
+    p = _write(tmp_path / "big.json", '{"shape": [1], "data": [9007199254740993]}')
+    t = read_tensor(p)
+    assert type(t.data[0]) is float and t.data[0] == 2**53
+    out = tmp_path / "out.json"
+    write_tensor(t, out)
+    assert out.read_text().endswith('"data": [9007199254740992]}\n')
+
+
 def test_read_rejects_length_mismatch(tmp_path):
     p = _write(tmp_path / "short.json", '{"shape": [2, 2], "data": [1, 2, 3]}')
     with pytest.raises(ShapeError):
