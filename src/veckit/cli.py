@@ -11,6 +11,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -66,6 +67,9 @@ def _parse_shape(text: str) -> Shape:
     return Shape(dims)
 
 
+# built once per process: parsing leaves no state on the parser, and each
+# call looks its handler up by name, so replacing a _cmd_* still takes effect
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="veckit",
@@ -85,7 +89,6 @@ def _build_parser() -> _Parser:
         default="block",
         help="computation route (default: block)",
     )
-    p_vec.set_defaults(func=_cmd_vec)
 
     p_unvec = sub.add_parser("unvec", help="rebuild a tensor from a vector")
     p_unvec.add_argument("input", help="rank-1 tensor file to read")
@@ -101,7 +104,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="use the closed-form Kronecker route (rank-2 shapes only)",
     )
-    p_unvec.set_defaults(func=_cmd_unvec)
 
     p_shift = sub.add_parser("shift", help="merge or split the last dimensions")
     p_shift.add_argument("input", help="tensor file to read")
@@ -114,7 +116,6 @@ def _build_parser() -> _Parser:
         type=_positive_int,
         help="restored last extent (required with --inverse)",
     )
-    p_shift.set_defaults(func=_cmd_shift)
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     p_verify.add_argument("--seed", type=int, default=0, help="random seed")
@@ -127,7 +128,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--cases", type=_positive_int, default=200, help="cases per check"
     )
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser(
         "bench", help="time the block route against the index route"
@@ -141,7 +141,6 @@ def _build_parser() -> _Parser:
     p_bench.add_argument(
         "--reps", type=_positive_int, default=5, help="repetitions per timing"
     )
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,17 @@ meant as a correctness oracle, not a performance kernel.
 
 from __future__ import annotations
 
-from .core import DenseTensor, Shape, from_nested, to_nested, transpose
+from itertools import chain
+
+from .core import (
+    DenseTensor,
+    Shape,
+    StorageOrder,
+    from_nested,
+    make_tensor,
+    to_nested,
+    transpose,
+)
 from .errors import ShapeError
 from .vecops import VecResult, vec_k
 
@@ -66,22 +76,20 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
                 for j in range(p):
                     row[j] += xv * yrow[j]
         out.append(row)
-    return from_nested(out)
+    flat = chain.from_iterable(out)
+    return make_tensor((m, p), flat, StorageOrder.LAST_INDEX_FASTEST)
 
 
 def kronecker(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     """Kronecker product: (i*My + r, j*Ny + s) holds x(i,j) * y(r,s)."""
     mx, nx = _dims2(x, "left factor")
     my, ny = _dims2(y, "right factor")
-    xr = to_nested(x)
     yr = to_nested(y)
-    out = []
-    for i in range(mx):
-        xrow = xr[i]
-        for r in range(my):
-            yrow = yr[r]
-            out.append([xv * yv for xv in xrow for yv in yrow])
-    return from_nested(out)
+    # row i*My + r lists x(i, j) * y(r, s) with s fastest
+    data = [
+        xv * yv for xrow in to_nested(x) for yrow in yr for xv in xrow for yv in yrow
+    ]
+    return make_tensor((mx * my, nx * ny), data, StorageOrder.LAST_INDEX_FASTEST)
 
 
 def matrix_column(x: Matrix2D, k: int) -> Matrix2D:

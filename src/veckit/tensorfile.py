@@ -25,6 +25,10 @@ _ORDER_TAGS = {
 
 PathLike = Union[str, Path]
 
+# largest tensor a file may declare, in elements; a larger shape is
+# rejected before its data is looked at
+_MAX_ELEMENTS = 2**24
+
 
 def _coerce_number(value, pos: int, path: PathLike) -> float:
     # bool is an int subclass; reject it explicitly
@@ -37,6 +41,26 @@ def _coerce_number(value, pos: int, path: PathLike) -> float:
     if not math.isfinite(number):
         raise FormatError(f"{path}: data[{pos}] is not finite: {value!r}")
     return number
+
+
+def _numbers(raw: list, path: PathLike) -> list:
+    """``raw`` as finite floats, checked as a whole list.
+
+    json.loads makes no number types but int and float, and bool is
+    neither.  A NaN or an infinity makes the sum non-finite; so does a sum
+    of finite values that overflows, which the fallback then accepts.  Any
+    failure falls back to the per-element check, so the first bad element
+    is named exactly as :func:`_coerce_number` names it.
+    """
+    if {int, float}.issuperset(map(type, raw)):
+        try:
+            data = list(map(float, raw))
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(sum(data)):
+                return data
+    return [_coerce_number(v, i, path) for i, v in enumerate(raw)]
 
 
 def read_tensor(path: PathLike) -> DenseTensor:
@@ -67,6 +91,11 @@ def read_tensor(path: PathLike) -> DenseTensor:
         shape = Shape(tuple(raw_shape))
     except ShapeError as exc:
         raise FormatError(f"{path}: shape: {exc}") from exc
+    if shape.size > _MAX_ELEMENTS:
+        raise FormatError(
+            f"{path}: shape {list(shape.dims)} has {shape.size} elements; "
+            f"the limit is {_MAX_ELEMENTS}"
+        )
     tag = doc.get("order", "row-major")
     if not isinstance(tag, str) or tag not in _ORDER_TAGS:
         raise FormatError(
@@ -81,8 +110,7 @@ def read_tensor(path: PathLike) -> DenseTensor:
             f"{path}: {len(raw_data)} data values for shape "
             f"{list(shape.dims)} of size {shape.size}"
         )
-    data = [_coerce_number(v, i, path) for i, v in enumerate(raw_data)]
-    return make_tensor(shape, data, _ORDER_TAGS[tag])
+    return make_tensor(shape, _numbers(raw_data, path), _ORDER_TAGS[tag])
 
 
 def write_tensor(

@@ -174,6 +174,17 @@ def test_unreadable_input_is_one_error_line(tmp_path, capsys, content):
     assert str(p) in err
 
 
+def test_shape_beyond_the_size_cap_is_one_error_line(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text('{"shape": [4096, 4096, 2], "data": []}', encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert cli.main(["vec", str(p), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err)
+    assert "limit" in err
+    assert not out.exists()
+
+
 def test_exit_code_bad_shape_argument(tmp_path, golden_file, capsys):
     v = tmp_path / "v.json"
     assert cli.main(["vec", str(golden_file), str(v)]) == 0
@@ -194,6 +205,49 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["vec", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, golden_file, capsys):
+    out = tmp_path / "v.json"
+
+    def session(fresh_parser_per_call):
+        out.unlink(missing_ok=True)
+        results = []
+        for argv in (
+            ["vec"],
+            ["vec", str(golden_file), str(out)],
+            ["verify", "--cases", "2"],
+        ):
+            if fresh_parser_per_call:
+                cli._build_parser.cache_clear()
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, out.read_bytes()
+
+    fresh = session(fresh_parser_per_call=True)
+    cli._build_parser.cache_clear()
+    shared = session(fresh_parser_per_call=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared[0]] == [1, 0, 0]
+    assert shared == fresh
+    assert json.loads(shared[1])["data"] == GOLDEN_VEC
+
+
+def test_handlers_are_looked_up_when_each_call_runs(
+    monkeypatch, tmp_path, golden_file
+):
+    out = tmp_path / "v.json"
+    assert cli.main(["vec", str(golden_file), str(out)]) == 0
+    seen = []
+
+    def fake(args):
+        seen.append((args.input, args.output))
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_vec", fake)
+    assert cli.main(["vec", "a.json", "b.json"]) == 0
+    assert seen == [("a.json", "b.json")]
 
 
 def test_verify_passes(capsys):

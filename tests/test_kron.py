@@ -1,6 +1,7 @@
 """Kronecker products, the closed-form 2-D inverse, and product identities."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -218,3 +219,37 @@ def test_per_column_fold_recovers_columns():
         for k in range(n):
             folded = matmul(left, matrix_column(big, k))
             assert vk.tensors_equal(folded, matrix_column(A, k))
+
+
+def _transposed_views():
+    # 3x2 and 2x4 views over storage laid out for their transposes
+    rng = random.Random("kron-strided")
+    x = vk.transpose(random_tensor(rng, (2, 3)), 1, 2)
+    y = vk.transpose(
+        vk.make_tensor(
+            (4, 2),
+            [rng.randint(-9, 9) for _ in range(8)],
+            vk.StorageOrder.LAST_INDEX_FASTEST,
+        ),
+        1,
+        2,
+    )
+    return x, y
+
+
+def test_kronecker_of_transposed_views():
+    x, y = _transposed_views()
+    (mx, nx), (my, ny) = x.shape.dims, y.shape.dims
+    got = kronecker(x, y)
+    assert got.shape.dims == (mx * my, nx * ny)
+    for i, j, r, s in product(range(mx), range(nx), range(my), range(ny)):
+        assert got.get((i * my + r, j * ny + s)) == x.get((i, j)) * y.get((r, s))
+
+
+def test_matmul_of_transposed_views():
+    x, y = _transposed_views()
+    (m, n), (_, p) = x.shape.dims, y.shape.dims
+    got = matmul(x, y)
+    assert got.shape.dims == (m, p)
+    for i, j in product(range(m), range(p)):
+        assert got.get((i, j)) == sum(x.get((i, k)) * y.get((k, j)) for k in range(n))

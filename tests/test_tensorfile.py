@@ -168,3 +168,50 @@ def test_write_to_missing_directory(tmp_path):
 def test_write_rejects_unknown_order(tmp_path):
     with pytest.raises(FormatError):
         write_tensor(vk.make_tensor((1,), [1]), tmp_path / "t.json", "diagonal")
+
+
+# an 8-element file whose data[6] is the bad value, after valid ints and floats
+_BAD_AT_6 = '{{"shape": [2, 4], "data": [1, 2.5, -3, 0.25, 7, 1e3, {}]}}'
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("true, 4", "data[6] is not a number: True"),
+        ('"x", 4', "data[6] is not a number: 'x'"),
+        ("null, 4", "data[6] is not a number: None"),
+        ("[1], 4", "data[6] is not a number: [1]"),
+        ("{}, 4", "data[6] is not a number: {}"),
+        ("1e400, 4", "data[6] is not finite: inf"),
+        ("NaN, 4", "data[6] is not finite: nan"),
+        ("1" + "0" * 399 + ", 4", "data[6] is beyond the float range"),
+        # two bad values: a non-finite one, then one of the wrong type
+        ("1e400, true", "data[6] is not finite: inf"),
+    ],
+    ids=[
+        "true", "string", "null", "list", "object", "1e400", "NaN",
+        "400-digit-int", "first-of-two",
+    ],
+)
+def test_read_names_the_first_bad_element(tmp_path, values, message):
+    p = _write(tmp_path / "t.json", _BAD_AT_6.format(values))
+    with pytest.raises(FormatError) as err:
+        read_tensor(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+def test_read_accepts_finite_values_whose_sum_overflows(tmp_path):
+    p = _write(tmp_path / "t.json", '{"shape": [3], "data": [1.7e308, 1.7e308, -1]}')
+    assert read_tensor(p).data == (1.7e308, 1.7e308, -1.0)
+
+
+def test_read_rejects_shape_beyond_the_size_cap(tmp_path):
+    # the cap is checked before the data, so nothing large is allocated
+    p = _write(tmp_path / "big.json", '{"shape": [4096, 4096, 2], "data": []}')
+    with pytest.raises(FormatError, match="limit") as err:
+        read_tensor(p)
+    assert "33554432 elements" in str(err.value)
+    # a shape at the cap passes it and fails on the length instead
+    p = _write(tmp_path / "cap.json", '{"shape": [4096, 4096], "data": []}')
+    with pytest.raises(ShapeError, match="0 data values"):
+        read_tensor(p)
