@@ -18,7 +18,7 @@ from .core import (
     as_shape,
     check_index,
     elements,
-    flat_offsets,
+    gather,
     storage_strides,
 )
 from .errors import BlockError, DimError
@@ -85,8 +85,7 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
     # one gather over the source: block-local indices vary fastest, then the
     # grid index, whose step along dimension n is (M_n/T_n) * stride_n
     grid_strides = tuple(sn * st for sn, st in zip(sub, t.strides))
-    offsets = flat_offsets(block_shape.dims + outer.dims, t.strides + grid_strides)
-    flat = tuple(map(t.data.__getitem__, offsets))
+    flat = gather(t.data, block_shape.dims + outer.dims, t.strides + grid_strides)
     n = block_shape.size
     strides = storage_strides(block_shape)
     blocks = [
@@ -106,16 +105,16 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     sub, grid = bt.block_shape.dims, bt.outer_shape.dims
     shape = Shape(tuple(T * S for T, S in zip(grid, sub)))
     # the blocks' elements end to end, each block first index fastest
-    flat = list(chain.from_iterable(map(elements, bt.blocks)))
+    flat = tuple(chain.from_iterable(map(elements, bt.blocks)))
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest
     n = bt.block_shape.size
     steps = zip(storage_strides(bt.block_shape), storage_strides(bt.outer_shape))
-    offsets = flat_offsets(
+    data = gather(
+        flat,
         tuple(chain.from_iterable(zip(sub, grid))),
         tuple(chain.from_iterable((ls, gs * n) for ls, gs in steps)),
     )
-    data = tuple(map(flat.__getitem__, offsets))
     return DenseTensor(shape, data, storage_strides(shape))
 
 
@@ -134,5 +133,5 @@ def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     strides = list(storage_strides(bt.outer_shape))
     dims[a], dims[b] = dims[b], dims[a]
     strides[a], strides[b] = strides[b], strides[a]
-    new_blocks = tuple(map(bt.blocks.__getitem__, flat_offsets(dims, strides)))
+    new_blocks = gather(bt.blocks, dims, strides)
     return BlockTensor(Shape(tuple(dims)), bt.block_shape, new_blocks)

@@ -119,6 +119,27 @@ def flat_offsets(dims: Sequence[int], strides: Sequence[int]) -> Sequence[int]:
     return offsets
 
 
+def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple:
+    """``data`` at every offset of :func:`flat_offsets`, copied run by run.
+
+    Extent-1 dims are dropped and a dim whose stride spans the dim before it
+    is merged into it; each run of the fastest remaining dim is then one
+    extended slice.  The layout ``0 .. len(data)-1`` in order returns ``data``.
+    """
+    runs = []
+    for m, s in zip(dims, strides):
+        if runs and s == runs[-1][0] * runs[-1][1]:
+            runs[-1] = (runs[-1][0] * m, runs[-1][1])
+        elif m > 1:
+            runs.append((m, s))
+    (m0, s0), rest = (runs or [(1, 1)])[0], runs[1:]
+    if not rest and m0 == len(data):
+        return data
+    span = (m0 - 1) * s0 + 1
+    bases = flat_offsets([m for m, _ in rest], [s for _, s in rest])
+    return tuple(chain.from_iterable([data[b : b + span : s0] for b in bases]))
+
+
 def iter_indices(
     shape: ShapeLike, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
 ) -> Iterator[IndexTuple]:
@@ -219,7 +240,7 @@ def elements(
     dims, strides = t.shape.dims, t.strides
     if order is StorageOrder.LAST_INDEX_FASTEST:
         dims, strides = dims[::-1], strides[::-1]
-    return list(map(t.data.__getitem__, flat_offsets(dims, strides)))
+    return list(gather(t.data, dims, strides))
 
 
 def get(t: DenseTensor, idx: Sequence[int]) -> Scalar:

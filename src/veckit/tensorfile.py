@@ -129,13 +129,16 @@ def write_tensor(
         raise FormatError(
             f"unknown order {order!r}; expected one of {sorted(_ORDER_TAGS)}"
         )
-    flat = map(float, elements(t, _ORDER_TAGS[order]))
-    # integer-valued floats print as integers, everything else as the
-    # shortest decimal that parses back to the same 64-bit value
     try:
-        data = [int(v) if v.is_integer() else v for v in flat]
+        flat = list(map(float, elements(t, _ORDER_TAGS[order])))
     except OverflowError:
         raise FormatError(f"{path}: an element is beyond the float range") from None
+    # integer-valued floats print as integers, everything else as the
+    # shortest decimal that parses back to the same 64-bit value
+    if all(map(float.is_integer, flat)):
+        data = list(map(int, flat))
+    else:
+        data = [int(v) if v.is_integer() else v for v in flat]
     doc = {"shape": list(t.shape.dims), "order": order, "data": data}
     try:
         text = json.dumps(doc, allow_nan=False)

@@ -18,11 +18,13 @@ from . import indexmap, kron2d, vecops
 from .core import (
     DenseTensor,
     Shape,
+    StorageOrder,
     elements,
     from_nested,
     iter_indices,
     make_tensor,
     tensors_equal,
+    transpose,
 )
 from .errors import ShapeError
 
@@ -64,7 +66,12 @@ def _random_shape(
 
 
 def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
-    return make_tensor(shape, [rng.randint(-9, 9) for _ in range(shape.size)])
+    # a drawn storage order seen through a drawn transpose (none if m == n)
+    data = [rng.randint(-9, 9) for _ in range(shape.size)]
+    m, n = rng.randint(1, shape.rank), rng.randint(1, shape.rank)
+    dims = list(shape.dims)
+    dims[m - 1], dims[n - 1] = dims[n - 1], dims[m - 1]
+    return transpose(make_tensor(dims, data, rng.choice(list(StorageOrder))), m, n)
 
 
 _SHOWN = 16  # elements per counterexample, so failure reports stay bounded

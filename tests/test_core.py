@@ -1,11 +1,13 @@
 """Tensor values: shapes, indexing, strides, elementary reshaping."""
 
+import itertools
 import math
 
 import pytest
 
 import veckit as vk
 from veckit import DimError, ShapeError, StorageOrder
+from veckit.core import flat_offsets, gather
 
 from conftest import GOLDEN_NESTED
 
@@ -50,6 +52,55 @@ def test_storage_strides():
     s = vk.Shape((2, 3, 4))
     assert vk.storage_strides(s, StorageOrder.FIRST_INDEX_FASTEST) == (1, 2, 6)
     assert vk.storage_strides(s, StorageOrder.LAST_INDEX_FASTEST) == (12, 4, 1)
+
+
+def _by_offsets(data, dims, strides):
+    return tuple(data[o] for o in flat_offsets(dims, strides))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2, 2), (1, 5), (4, 1), (1, 1, 1)])
+def test_gather_matches_flat_offsets_on_permuted_strides(dims):
+    data = tuple(range(100, 100 + math.prod(dims)))
+    for order in itertools.permutations(range(len(dims))):
+        # contiguous storage that walks the dims in ``order``, fastest first;
+        # extent-1 dims then take any stride
+        strides = [0] * len(dims)
+        acc = 1
+        for n in order:
+            strides[n] = acc
+            acc *= dims[n]
+        any_unit = [99 if m == 1 else s for m, s in zip(dims, strides)]
+        for layout in ((dims, strides), (dims, any_unit)):
+            assert gather(data, *layout) == _by_offsets(data, *layout)
+
+
+@pytest.mark.parametrize(
+    "dims, outer", [((4, 6), (2, 3)), ((2, 3, 4), (2, 1, 2)), ((4, 4, 2), (4, 2, 1))]
+)
+def test_gather_matches_flat_offsets_on_block_layouts(dims, outer):
+    data = tuple(range(100, 100 + math.prod(dims)))
+    sub = tuple(m // t for m, t in zip(dims, outer))
+    n = math.prod(sub)
+    for order in StorageOrder:
+        strides = vk.storage_strides(vk.Shape(dims), order)
+        # block's gather: block-local indices fastest, then the grid index
+        grid = tuple(s * st for s, st in zip(sub, strides))
+        layout = (sub + outer, strides + grid)
+        assert gather(data, *layout) == _by_offsets(data, *layout)
+    # unblock's gather over the interleaved (l_1, q_1, l_2, q_2, ...) dims
+    steps = zip(vk.storage_strides(vk.Shape(sub)), vk.storage_strides(vk.Shape(outer)))
+    layout = (
+        tuple(itertools.chain.from_iterable(zip(sub, outer))),
+        tuple(itertools.chain.from_iterable((ls, gs * n) for ls, gs in steps)),
+    )
+    assert gather(data, *layout) == _by_offsets(data, *layout)
+
+
+def test_gather_returns_an_in_order_layout_as_is():
+    data = (5, 6, 7)
+    assert gather(data, (3,), (1,)) is data
+    assert gather(data, (1, 3, 1), (7, 1, 3)) is data
+    assert gather(data, (2,), (2,)) == (5, 7)
 
 
 def test_iter_indices_first_index_fastest():

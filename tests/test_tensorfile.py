@@ -76,6 +76,47 @@ def test_write_golden_shift_bytes(tmp_path):
     assert p.read_text() == want
 
 
+# int(1e300): the exact value of the float64 nearest 1e300
+_E300 = (
+    "100000000000000005250476025520442024870446858110815915491585411551180245"
+    "798890819578637137508044786404370444383288387817694252323536043057564479"
+    "218478670698284838720092657580373783023379478809005936895323497079994508"
+    "111903896764088007465274278014249457925878882005684283811566947219638686"
+    "5459400540160"
+)
+
+
+@pytest.mark.parametrize(
+    "nested, row_major, column_major",
+    [
+        ([[1, -2, 3], [4, 5, -6]], "1, -2, 3, 4, 5, -6", "1, 4, -2, 5, 3, -6"),
+        (
+            # every value integral: -0.0 prints as 0, 2**53 + 1 as 2**53
+            [[-0.0, 1e16, 2**53 + 1], [1e300, 7.0, 0]],
+            f"0, 10000000000000000, 9007199254740992, {_E300}, 7, 0",
+            f"0, {_E300}, 10000000000000000, 7, 9007199254740992, 0",
+        ),
+        (
+            [[0.5, -0.0, 5e-324], [1e16, 2**53 + 1, -1.25]],
+            "0.5, 0, 5e-324, 10000000000000000, 9007199254740992, -1.25",
+            "0.5, 10000000000000000, 0, 9007199254740992, 5e-324, -1.25",
+        ),
+    ],
+    ids=["ints", "integral", "mixed"],
+)
+def test_write_bytes_are_pinned(tmp_path, nested, row_major, column_major):
+    t = vk.from_nested(nested)
+    p = tmp_path / "t.json"
+    for tag, data in (("row-major", row_major), ("column-major", column_major)):
+        write_tensor(t, p, tag)
+        want = f'{{"shape": [2, 3], "order": "{tag}", "data": [{data}]}}\n'
+        assert p.read_bytes() == want.encode()
+    # a transposed view writes the same elements in the same index order
+    write_tensor(vk.transpose(t, 1, 2), p, "column-major")
+    want = f'{{"shape": [3, 2], "order": "column-major", "data": [{row_major}]}}\n'
+    assert p.read_bytes() == want.encode()
+
+
 def test_non_integer_values_round_trip(tmp_path):
     t = vk.make_tensor((4,), [0.5, -1.25, 3e-9, 2.0])
     p = tmp_path / "t.json"
