@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from . import indexmap, kron2d, vecops, verify
-from .core import Shape, make_tensor, tensors_equal
+from .core import Shape, StorageOrder, make_tensor, tensors_equal
 from .errors import ShapeError, TensorError, VerificationError
 from .tensorfile import read_tensor, write_tensor
 
@@ -209,8 +209,10 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_tensor(shape: Shape):
-    # deterministic small integers; values are irrelevant to the timing
-    return make_tensor(shape, [(i % 97) - 48 for i in range(shape.size)])
+    # deterministic small integers, row-major like a JSON file's data, so
+    # the index route gathers instead of returning its first-index-fastest view
+    data = [(i % 97) - 48 for i in range(shape.size)]
+    return make_tensor(shape, data, StorageOrder.LAST_INDEX_FASTEST)
 
 
 def _cmd_bench(args) -> int:

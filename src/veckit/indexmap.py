@@ -11,6 +11,9 @@ arbiter in tests.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add
+
 from .core import (
     DenseTensor,
     IndexTuple,
@@ -18,7 +21,6 @@ from .core import (
     ShapeLike,
     as_shape,
     check_index,
-    make_tensor,
 )
 from .errors import ShapeError
 
@@ -73,20 +75,35 @@ def vec_by_index(t: DenseTensor) -> DenseTensor:
 
     Output position ``m`` holds the element whose digits are
     ``p_l = (m // s_l) % M_l`` with ``s = index_strides(shape)``; its storage
-    offset is ``sum(p_l * t.strides[l])``, accumulated one dimension at a
-    time.  Same result as the shift-based fold, computed without any block
-    or transpose machinery.
+    offset is ``sum(p_l * t.strides[l])``.  Positions that differ only in
+    ``p_1`` are consecutive, so each run of them is one extended slice of
+    storage starting at the offset of its higher digits.  Those offsets are
+    built one digit at a time: the list for digits ``2 .. l`` is repeated
+    once per value ``p`` of digit ``l + 1``, shifted by ``p`` times its
+    stride.  When every stride equals its ``s_l`` the offset is ``m`` itself,
+    and the result shares ``t``'s storage.  Same result as the shift-based
+    fold, computed without any block or transpose machinery.
     """
     shape = t.shape
-    positions = range(shape.size)
-    offsets = [0] * shape.size
-    for s, ext, stride in zip(index_strides(shape), shape.dims, t.strides):
-        # an extent-1 digit is always 0, whatever its stride
-        if ext > 1:
-            offsets = [
-                o + (m // s % ext) * stride for o, m in zip(offsets, positions)
-            ]
-    return make_tensor(Shape((shape.size,)), map(t.data.__getitem__, offsets))
+    vector = Shape((shape.size,))
+    # an extent-1 digit is always 0, whatever its stride
+    digits = [
+        (m, stride, s)
+        for m, stride, s in zip(shape.dims, t.strides, index_strides(shape))
+        if m > 1
+    ]
+    if all(stride == s for _, stride, s in digits):
+        return DenseTensor(vector, t.data, (1,))
+    (m1, stride1, _), higher = digits[0], digits[1:]
+    offsets = [0]
+    for m, stride, _ in higher:
+        n = len(offsets)
+        for p in range(1, m):
+            # the map stops after the n offsets of the digits below
+            offsets.extend(map(add, offsets, repeat(p * stride, n)))
+    data, span = t.data, (m1 - 1) * stride1 + 1
+    runs = [data[b : b + span : stride1] for b in offsets]
+    return DenseTensor(vector, tuple(chain.from_iterable(runs)), (1,))
 
 
 def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:

@@ -14,13 +14,13 @@ meant as a correctness oracle, not a performance kernel.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import compress
 
 from .core import (
     DenseTensor,
     Shape,
     StorageOrder,
-    from_nested,
+    elements,
     make_tensor,
     to_nested,
     transpose,
@@ -42,7 +42,9 @@ def identity_matrix(n: int) -> Matrix2D:
     """The n x n identity."""
     if n < 1:
         raise ShapeError(f"identity size must be positive, got {n}")
-    return from_nested([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    data = [0] * (n * n)
+    data[:: n + 1] = [1] * n
+    return make_tensor((n, n), data)
 
 
 def as_column(a: VecResult) -> Matrix2D:
@@ -65,19 +67,19 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     n2, p = _dims2(y, "right factor")
     if n != n2:
         raise ShapeError(f"inner extents differ: {m}x{n} times {n2}x{p}")
-    xr = to_nested(x)
-    yr = to_nested(y)
+    xs = elements(x, StorageOrder.LAST_INDEX_FASTEST)
+    ys = elements(y, StorageOrder.LAST_INDEX_FASTEST)
     out = []
-    for i in range(m):
+    for i in range(0, m * n, n):
+        xrow = xs[i : i + n]
         row = [0] * p
-        for k, xv in enumerate(xr[i]):
-            if xv:
-                yrow = yr[k]
-                for j in range(p):
-                    row[j] += xv * yrow[j]
-        out.append(row)
-    flat = chain.from_iterable(out)
-    return make_tensor((m, p), flat, StorageOrder.LAST_INDEX_FASTEST)
+        # zero entries of x add nothing; the rest add in k order
+        for k in compress(range(n), xrow):
+            xv, start = xrow[k], k * p
+            for j in range(p):
+                row[j] += xv * ys[start + j]
+        out += row
+    return make_tensor((m, p), out, StorageOrder.LAST_INDEX_FASTEST)
 
 
 def kronecker(x: Matrix2D, y: Matrix2D) -> Matrix2D:
@@ -97,7 +99,9 @@ def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
     m, n = _dims2(x, "matrix")
     if not 0 <= k < n:
         raise IndexError(f"column {k} out of range for {m}x{n}")
-    return from_nested([[x.get((i, k))] for i in range(m)])
+    rs, cs = x.strides
+    start = k * cs
+    return make_tensor((m, 1), x.data[start : start + (m - 1) * rs + 1 : rs])
 
 
 def vec2(x: Matrix2D) -> VecResult:

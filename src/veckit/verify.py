@@ -75,12 +75,21 @@ def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
 
 
 _SHOWN = 16  # elements per counterexample, so failure reports stay bounded
+_SHOWN_CHARS = 300  # characters of a raised exception's message
 
 
 def _describe(t: DenseTensor) -> str:
     shown = elements(t)[:_SHOWN]
     more = f" ... ({t.size} elements)" if t.size > _SHOWN else ""
     return f"shape={list(t.shape.dims)} data={shown}{more}"
+
+
+def _each_case(cfg: dict, cases: int):
+    """Case numbers ``0 .. cases-1``, each noted in ``cfg["case"]`` as it
+    starts, so that :func:`run_all` can name a case that raises."""
+    for i in range(cases):
+        cfg["case"] = i
+        yield i
 
 
 def _fail(name: str, seed: int, case: int, message: str) -> CheckResult:
@@ -95,9 +104,11 @@ def _check_golden_shift(name, rng, seed, cfg) -> CheckResult:
     want = from_nested(GOLDEN_SHIFTED)
     if not tensors_equal(got, want):
         return _fail(name, seed, 0, f"shift of golden tensor gave {_describe(got)}")
+    cfg["case"] = 1
     v = vecops.vec_k(t)
     if list(v.data) != GOLDEN_VEC:
         return _fail(name, seed, 1, f"vec of golden tensor gave {_describe(v)}")
+    cfg["case"] = 2
     r = vecops.rvec_k(t)
     if list(r.data) != GOLDEN_RVEC:
         return _fail(name, seed, 2, f"rvec of golden tensor gave {_describe(r)}")
@@ -106,7 +117,7 @@ def _check_golden_shift(name, rng, seed, cfg) -> CheckResult:
 
 def _check_involution(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"], min_rank=2)
         t = _random_tensor(rng, shape)
         back = vecops.shift_inverse(vecops.shift(t), shape.dims[-1])
@@ -120,7 +131,7 @@ def _check_involution(name, rng, seed, cfg) -> CheckResult:
 
 def _check_two_path(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         t = _random_tensor(rng, shape)
         block_path = vecops.vec_k(t)
@@ -144,7 +155,7 @@ def _check_two_path(name, rng, seed, cfg) -> CheckResult:
 
 def _check_round_trip(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         t = _random_tensor(rng, shape)
         for label, forward, backward in (
@@ -164,7 +175,7 @@ def _check_round_trip(name, rng, seed, cfg) -> CheckResult:
 
 def _check_index_bijection(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         size = shape.size
         # full sweep for small shapes, seeded sample for big ones
@@ -200,7 +211,7 @@ def _check_index_bijection(name, rng, seed, cfg) -> CheckResult:
 
 def _check_collapse_witness(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         a, b, c, d = (rng.randint(-99, 99) for _ in range(4))
         square = from_nested([[a, b], [c, d]])
         flat = from_nested([[a, c, b, d]])
@@ -220,7 +231,7 @@ def _check_collapse_witness(name, rng, seed, cfg) -> CheckResult:
 def _check_identity_chain(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
     hi = max(2, cfg["max_extent"])
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         m, n, p, q = (rng.randint(1, hi) for _ in range(4))
         O = _random_tensor(rng, Shape((m, n)))
         P = _random_tensor(rng, Shape((n, p)))
@@ -265,7 +276,7 @@ def _check_identity_chain(name, rng, seed, cfg) -> CheckResult:
 def _check_kron_closed_form(name, rng, seed, cfg) -> CheckResult:
     cases = cfg["cases"]
     hi = max(2, min(8, cfg["max_extent"] + 2))
-    for i in range(cases):
+    for i in _each_case(cfg, cases):
         m = rng.randint(1, hi)
         n = rng.randint(1, hi)
         x = _random_tensor(rng, Shape((m, n)))
@@ -283,6 +294,7 @@ def _check_kron_closed_form(name, rng, seed, cfg) -> CheckResult:
                 f"closed form disagrees with the index inverse on {_describe(x)}",
             )
     # the misprinted factor order is not even conformable once M != N
+    cfg["case"] = cases
     a = make_tensor(Shape((6,)), [1, 2, 3, 4, 5, 6])
     eye3 = kron2d.identity_matrix(3)
     printed_left = kron2d.kronecker(
@@ -335,7 +347,13 @@ def run_all(
     results = []
     for name, fn in _CHECKS:
         rng = random.Random(f"{seed}:{name}")
-        results.append(fn(name, rng, seed, cfg))
+        cfg["case"] = 0
+        try:
+            results.append(fn(name, rng, seed, cfg))
+        except Exception as exc:
+            # a fault that raises fails its check just as a wrong result does
+            message = f"{type(exc).__name__}: {exc}"[:_SHOWN_CHARS]
+            results.append(_fail(name, seed, cfg["case"], message))
     return RunReport(checks=tuple(results))
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import veckit as vk
-from veckit import cli, vecops, verify
+from veckit import blocking, cli, vecops, verify
 from veckit.tensorfile import read_tensor
 
 from conftest import GOLDEN_RVEC, GOLDEN_SHIFTED, GOLDEN_VEC
@@ -282,6 +282,33 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     # same seed, same counterexample: the report is reproducible
     assert cli.main(["verify", "--seed", "7", "--cases", "20"]) == 2
     assert capsys.readouterr().out == first
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    real = blocking.gather
+
+    def run():
+        calls = []
+
+        def dropping(data, dims, strides):
+            # the 50th gather loses its last element; the tensor built
+            # from it then raises inside a check
+            calls.append(None)
+            out = real(data, dims, strides)
+            return out[:-1] if len(calls) == 50 else out
+
+        monkeypatch.setattr(blocking, "gather", dropping)
+        code = cli.main(["verify", "--seed", "5", "--cases", "20"])
+        return code, capsys.readouterr()
+
+    code, first = run()
+    assert code == 2
+    assert first.err == ""
+    failed = [line for line in first.out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert re.fullmatch(r"FAIL [\w-]+: seed=5 case=\d+: \w+Error: .+", failed[0])
+    # the same seed replays the same failure
+    assert run() == (2, first)
 
 
 def test_verify_report_on_large_shapes_is_bounded(monkeypatch):

@@ -128,6 +128,27 @@ def test_vec_by_index_extent_one_strides_are_ignored():
     assert list(vec_by_index(t).data) == list(vk.vec_k(t).data)
 
 
+def test_vec_by_index_returns_first_index_fastest_storage_as_is():
+    for t in (
+        sequential((3, 4, 2)),
+        vk.DenseTensor(vk.Shape((3, 1, 2)), (1, 2, 3, 4, 5, 6), (1, 99, 3)),
+        vk.DenseTensor(vk.Shape((1, 4, 1)), (1, 2, 3, 4), (5, 1, 7)),
+        vk.transpose(sequential((1, 6)), 1, 2),
+    ):
+        v = vec_by_index(t)
+        assert v.data is t.data
+        assert v.shape.dims == (t.size,)
+        assert list(v.data) == [t.get(tuple_index(m, t.shape)) for m in range(t.size)]
+    for t in (
+        vk.make_tensor((3, 4, 2), range(24), vk.StorageOrder.LAST_INDEX_FASTEST),
+        vk.transpose(sequential((3, 4, 2)), 1, 3),
+        vk.DenseTensor(vk.Shape((3, 1, 2)), (1, 2, 3, 4, 5, 6), (2, 99, 1)),
+    ):
+        v = vec_by_index(t)
+        assert v.data is not t.data
+        assert list(v.data) == [t.get(tuple_index(m, t.shape)) for m in range(t.size)]
+
+
 def _break_block_route(monkeypatch):
     """Make every block-route helper raise, wherever a module refers to it."""
     originals = {

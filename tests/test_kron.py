@@ -48,6 +48,40 @@ def test_matmul_known_product():
     assert vk.to_nested(matmul(x, y)) == [[58, 64], [139, 154]]
 
 
+def _triple_loop_product(x, y):
+    """Row-major x*y by checked lookups; zero entries of x add nothing."""
+    (m, n), p = x.shape.dims, y.shape.dims[1]
+    out = []
+    for i in range(m):
+        for j in range(p):
+            acc = 0
+            for k in range(n):
+                if x.get((i, k)):
+                    acc += x.get((i, k)) * y.get((k, j))
+            out.append(acc)
+    return out
+
+
+def _float_matrix(rng, dims):
+    """Floats with zero entries of both signs, in a drawn layout."""
+    size = dims[0] * dims[1]
+    values = [rng.choice([0.0, -0.0, rng.uniform(-9, 9)]) for _ in range(size)]
+    if rng.random() < 0.5:
+        return vk.make_tensor(dims, values, rng.choice(list(vk.StorageOrder)))
+    # the same shape seen as the transposed view of its transpose
+    return vk.transpose(vk.make_tensor(dims[::-1], values), 1, 2)
+
+
+def test_matmul_is_bit_identical_to_the_triple_loop():
+    rng = random.Random(11)
+    for _ in range(200):
+        m, n, p = (rng.randint(1, 5) for _ in range(3))
+        x, y = _float_matrix(rng, (m, n)), _float_matrix(rng, (n, p))
+        got = [v for row in vk.to_nested(matmul(x, y)) for v in row]
+        # repr tells -0.0 from 0.0 and 0 from 0.0
+        assert list(map(repr, got)) == list(map(repr, _triple_loop_product(x, y)))
+
+
 def test_matmul_rejects_mismatch():
     with pytest.raises(ShapeError):
         matmul(identity_matrix(2), identity_matrix(3))
@@ -112,6 +146,10 @@ def test_matrix_column():
     x = vk.from_nested([[1, 2], [3, 4]])
     assert vk.to_nested(matrix_column(x, 0)) == [[1], [3]]
     assert vk.to_nested(matrix_column(x, 1)) == [[2], [4]]
+    view = vk.transpose(x, 1, 2)
+    assert vk.to_nested(matrix_column(view, 0)) == [[1], [2]]
+    row = vk.as_row(vk.make_tensor((3,), [7, 8, 9]))
+    assert vk.to_nested(matrix_column(row, 2)) == [[9]]
     with pytest.raises(IndexError):
         matrix_column(x, 2)
 

@@ -33,11 +33,12 @@ def tensors(draw, min_rank=1, max_rank=4):
     )
     size = math.prod(dims)
     data = draw(st.lists(elements, min_size=size, max_size=size))
+    order = draw(st.sampled_from(list(vk.StorageOrder)))
     # a transposed view shares storage and carries permuted strides; m == n
     # leaves the contiguous tensor as it is
     m = draw(st.integers(1, len(dims)))
     n = draw(st.integers(1, len(dims)))
-    return vk.transpose(vk.make_tensor(dims, data), m, n)
+    return vk.transpose(vk.make_tensor(dims, data, order), m, n)
 
 
 @settings(deadline=None)
@@ -84,6 +85,13 @@ def test_rvec_round_trip(t):
 @given(tensors())
 def test_index_round_trip(t):
     assert vk.tensors_equal(unvec_by_index(vec_by_index(t), t.shape), t)
+
+
+@settings(deadline=None)
+@given(tensors(max_rank=5))
+def test_vec_by_index_is_the_checked_per_element_definition(t):
+    want = [t.get(tuple_index(m, t.shape)) for m in range(t.size)]
+    assert list(vec_by_index(t).data) == want
 
 
 @settings(deadline=None)
