@@ -8,8 +8,8 @@ into a single tensor.  The grid itself can be transposed pairwise with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 from .core import (
     DenseTensor,
@@ -20,49 +20,64 @@ from .core import (
     elements,
     gather,
     storage_strides,
+    _read_only,
+    _slot_setters,
 )
 from .errors import BlockError, DimError
 
 
-@dataclass(frozen=True, eq=False)
 class BlockTensor:
     """A grid of equally shaped blocks.
 
     ``blocks`` is stored in first-index-fastest order of the outer grid
     index.  Construction enforces the full invariants: block count matches
     the outer size, every block has exactly ``block_shape``, and the outer
-    and block ranks agree.
+    and block ranks agree.  Immutable, like the blocks it holds.
     """
 
-    outer_shape: Shape
-    block_shape: Shape
-    blocks: tuple[DenseTensor, ...]
+    __slots__ = ("outer_shape", "block_shape", "blocks")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.blocks, tuple):
-            object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.outer_shape.rank != self.block_shape.rank:
+    def __init__(
+        self, outer_shape: Shape, block_shape: Shape, blocks: Sequence[DenseTensor]
+    ) -> None:
+        blocks = tuple(blocks)
+        if outer_shape.rank != block_shape.rank:
             raise BlockError(
-                f"outer rank {self.outer_shape.rank} != block rank "
-                f"{self.block_shape.rank}"
+                f"outer rank {outer_shape.rank} != block rank {block_shape.rank}"
             )
-        if len(self.blocks) != self.outer_shape.size:
+        if len(blocks) != outer_shape.size:
             raise BlockError(
-                f"{len(self.blocks)} blocks for outer grid of size "
-                f"{self.outer_shape.size}"
+                f"{len(blocks)} blocks for outer grid of size {outer_shape.size}"
             )
-        for b in self.blocks:
-            if b.shape.dims != self.block_shape.dims:
+        for b in blocks:
+            if b.shape.dims != block_shape.dims:
                 raise BlockError(
                     f"block shape {list(b.shape.dims)} differs from "
-                    f"{list(self.block_shape.dims)}"
+                    f"{list(block_shape.dims)}"
                 )
+        _set_outer_shape(self, outer_shape)
+        _set_block_shape(self, block_shape)
+        _set_blocks(self, blocks)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return BlockTensor, (self.outer_shape, self.block_shape, self.blocks)
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockTensor(outer_shape={self.outer_shape!r}, "
+            f"block_shape={self.block_shape!r}, blocks={self.blocks!r})"
+        )
 
     def block_at(self, outer_idx) -> DenseTensor:
         """Block at the given outer grid index."""
         idx = check_index(self.outer_shape, outer_idx)
         strides = storage_strides(self.outer_shape)
         return self.blocks[sum(q * s for q, s in zip(idx, strides))]
+
+
+_set_outer_shape, _set_block_shape, _set_blocks = _slot_setters(BlockTensor)
 
 
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:

@@ -15,7 +15,7 @@ import functools
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops, verify
 from .core import Shape, StorageOrder, make_tensor, tensors_equal
@@ -28,8 +28,7 @@ from .tensorfile import read_tensor, write_tensor
 _BENCH_MAX_ELEMENTS = 2**21
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     """One timed benchmark measurement."""
 
     shape_text: str
@@ -226,9 +225,15 @@ def _cmd_bench(args) -> int:
     jobs = []
     for text, shape in shapes:
         t = _bench_tensor(shape)
-        block_out = vecops.vec_k(t)
-        index_out = indexmap.vec_by_index(t)
-        if not tensors_equal(block_out, index_out):
+        try:
+            agree = tensors_equal(vecops.vec_k(t), indexmap.vec_by_index(t))
+        except Exception as exc:
+            # a route that raises is as faulty as one that disagrees
+            raise VerificationError(
+                f"a route raised {type(exc).__name__} on shape {text}: {exc}; "
+                f"refusing to time an incorrect build"
+            ) from exc
+        if not agree:
             raise VerificationError(
                 f"block and index routes disagree on shape {text}; "
                 f"refusing to time an incorrect build"

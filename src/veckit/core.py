@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from typing import Iterator, Sequence, Union
 
 from .errors import DimError, ShapeError
@@ -43,32 +42,63 @@ class StorageOrder(Enum):
     LAST_INDEX_FASTEST = "last-index-fastest"
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError(
+        f"{type(self).__name__} is immutable: cannot assign or delete {name!r}"
+    )
+
+
+def _slot_setters(cls) -> list:
+    """One setter per slot of ``cls``, past its read-only ``__setattr__``, so
+    that only ``__init__`` fills the slots; copies and pickles rebuild a value
+    through ``__init__`` too (see each ``__reduce__``)."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
 class Shape:
-    """Ordered list of positive dimension extents; the source of rank truth."""
+    """Ordered list of positive dimension extents; the source of rank truth.
 
-    dims: tuple[int, ...]
+    Immutable, equal and hashed by ``dims``; ``size`` is the product of the
+    extents, computed once.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dims, tuple):
-            object.__setattr__(self, "dims", tuple(self.dims))
-        if len(self.dims) == 0:
+    __slots__ = ("dims", "size")
+
+    def __init__(self, dims: Sequence[int]) -> None:
+        dims = tuple(dims)
+        if len(dims) == 0:
             raise ShapeError("rank must be at least 1")
-        for m in self.dims:
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise ShapeError(f"extent {m!r} is not an integer")
-            if m < 1:
-                raise ShapeError(f"extent {m} must be at least 1")
-        if math.prod(self.dims) >= _MAX_SIZE:
+        for m in dims:
+            # one test per extent on the common path; int subclasses other
+            # than bool pass the full test below
+            if type(m) is not int or m < 1:
+                if not isinstance(m, int) or isinstance(m, bool):
+                    raise ShapeError(f"extent {m!r} is not an integer")
+                if m < 1:
+                    raise ShapeError(f"extent {m} must be at least 1")
+        size = math.prod(dims)
+        if size >= _MAX_SIZE:
             raise ShapeError("total size exceeds 64-bit index range")
+        _set_dims(self, dims)
+        _set_size(self, size)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Shape, (self.dims,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dims == other.dims
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.dims)
 
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
 
     def extent(self, n: int) -> int:
         """Extent of dimension ``n`` (1-indexed); ``extent(0)`` is the
@@ -82,6 +112,8 @@ class Shape:
     def __repr__(self) -> str:
         return f"Shape({list(self.dims)})"
 
+
+_set_dims, _set_size = _slot_setters(Shape)
 
 ShapeLike = Union[Shape, Sequence[int]]
 
@@ -99,7 +131,7 @@ def storage_strides(
     """Per-dimension offsets into contiguous flat storage in the given order."""
     last = order is StorageOrder.LAST_INDEX_FASTEST
     dims = shape.dims[::-1] if last else shape.dims
-    strides = tuple(math.prod(dims[:i]) for i in range(len(dims)))
+    strides = tuple(accumulate(dims[:-1], operator.mul, initial=1))
     return strides[::-1] if last else strides
 
 
@@ -163,7 +195,6 @@ def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
     return idx
 
 
-@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Immutable dense tensor: shape, flat scalar storage, per-dimension strides.
 
@@ -172,23 +203,23 @@ class DenseTensor:
     :func:`tensors_equal`, which looks only at shapes and co-indexed elements.
     """
 
-    shape: Shape
-    data: tuple
-    strides: tuple[int, ...]
+    __slots__ = ("shape", "data", "strides")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, tuple):
-            object.__setattr__(self, "data", tuple(self.data))
-        if not isinstance(self.strides, tuple):
-            object.__setattr__(self, "strides", tuple(self.strides))
-        dims = self.shape.dims
-        if len(self.data) != self.shape.size:
+    def __init__(self, shape: Shape, data: Sequence, strides: Sequence[int]) -> None:
+        data = tuple(data)
+        strides = tuple(strides)
+        dims = shape.dims
+        if len(data) != shape.size:
             raise ShapeError(
-                f"data length {len(self.data)} does not match "
-                f"shape {list(dims)} (size {self.shape.size})"
+                f"data length {len(data)} does not match "
+                f"shape {list(dims)} (size {shape.size})"
             )
-        strides = self.strides
-        if len(strides) != len(dims) or not all(type(s) is int for s in strides):
+        ints = len(strides) == len(dims)
+        for s in strides:
+            if type(s) is not int:
+                ints = False
+                break
+        if not ints:
             raise ShapeError(f"strides {strides} are not {len(dims)} integers")
         # in increasing order each stride must be the product of the extents
         # below it; exactly then the offsets are 0 .. size-1, each once
@@ -197,6 +228,14 @@ class DenseTensor:
             if m > 1 and s != acc:
                 raise ShapeError(f"strides {strides} do not tile shape {list(dims)}")
             acc *= m
+        _set_shape(self, shape)
+        _set_data(self, data)
+        _set_strides(self, strides)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return DenseTensor, (self.shape, self.data, self.strides)
 
     @property
     def rank(self) -> int:
@@ -221,6 +260,9 @@ class DenseTensor:
             f"DenseTensor(shape={list(self.shape.dims)}, "
             f"strides={list(self.strides)}, data={preview}{suffix})"
         )
+
+
+_set_shape, _set_data, _set_strides = _slot_setters(DenseTensor)
 
 
 def make_tensor(

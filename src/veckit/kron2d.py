@@ -100,6 +100,8 @@ def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
     if not 0 <= k < n:
         raise IndexError(f"column {k} out of range for {m}x{n}")
     rs, cs = x.strides
+    if m == 1:
+        rs = 1  # an extent-1 dim may carry any stride, even 0
     start = k * cs
     return make_tensor((m, 1), x.data[start : start + (m - 1) * rs + 1 : rs])
 

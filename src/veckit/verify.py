@@ -12,7 +12,7 @@ Kronecker product identities, and the closed-form 2-D inverse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops
 from .core import (
@@ -37,8 +37,7 @@ GOLDEN_VEC = [1, 7, 4, 10, 2, 8, 5, 11, 3, 9, 6, 12]
 GOLDEN_RVEC = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check; ``detail`` carries the counterexample."""
 
     name: str
@@ -47,8 +46,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Results of a verification run."""
 
     checks: tuple[CheckResult, ...] = ()

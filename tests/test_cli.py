@@ -353,6 +353,22 @@ def test_bench_rejects_fault(monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_bench_reports_a_route_that_raises(monkeypatch, capsys):
+    real = blocking.gather
+
+    def dropping(data, dims, strides):
+        # every block-route gather loses its last element, so a tensor
+        # built from one raises before the routes can be compared
+        return real(data, dims, strides)[:-1]
+
+    monkeypatch.setattr(blocking, "gather", dropping)
+    assert cli.main(["bench", "--shapes", "4x4", "--reps", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _is_one_error_line(err)
+    assert re.match(r"error: a route raised \w+Error on shape 4x4: ", err)
+
+
 @pytest.mark.parametrize(
     "text", ["100000x100000x100000", str(cli._BENCH_MAX_ELEMENTS + 1)]
 )

@@ -150,6 +150,12 @@ def test_matrix_column():
     assert vk.to_nested(matrix_column(view, 0)) == [[1], [2]]
     row = vk.as_row(vk.make_tensor((3,), [7, 8, 9]))
     assert vk.to_nested(matrix_column(row, 2)) == [[9]]
+    # an extent-1 row dimension may carry any stride
+    for strides in ((0, 1), (-5, 1), (99, 1)):
+        odd = vk.DenseTensor(vk.Shape((1, 3)), (7, 8, 9), strides)
+        assert [vk.to_nested(matrix_column(odd, k)) for k in range(3)] == [
+            [[7]], [[8]], [[9]]
+        ]
     with pytest.raises(IndexError):
         matrix_column(x, 2)
 
