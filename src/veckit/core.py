@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import operator
 from enum import Enum
 from itertools import accumulate, chain, product
@@ -60,15 +59,20 @@ class Shape:
     """Ordered list of positive dimension extents; the source of rank truth.
 
     Immutable, equal and hashed by ``dims``; ``size`` is the product of the
-    extents, computed once.
+    extents and ``_strides`` the first-index-fastest strides, both computed
+    once.
     """
 
-    __slots__ = ("dims", "size")
+    __slots__ = ("dims", "size", "_strides")
 
     def __init__(self, dims: Sequence[int]) -> None:
         dims = tuple(dims)
         if len(dims) == 0:
             raise ShapeError("rank must be at least 1")
+        # the strides and size come from the checking loop, which costs less
+        # than math.prod plus itertools.accumulate at ranks 2-6
+        strides = []
+        size = 1
         for m in dims:
             # one test per extent on the common path; int subclasses other
             # than bool pass the full test below
@@ -77,11 +81,13 @@ class Shape:
                     raise ShapeError(f"extent {m!r} is not an integer")
                 if m < 1:
                     raise ShapeError(f"extent {m} must be at least 1")
-        size = math.prod(dims)
+            strides.append(size)
+            size *= m
         if size >= _MAX_SIZE:
             raise ShapeError("total size exceeds 64-bit index range")
         _set_dims(self, dims)
         _set_size(self, size)
+        _set_ff_strides(self, tuple(strides))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -113,9 +119,11 @@ class Shape:
         return f"Shape({list(self.dims)})"
 
 
-_set_dims, _set_size = _slot_setters(Shape)
+_set_dims, _set_size, _set_ff_strides = _slot_setters(Shape)
 
-ShapeLike = Union[Shape, Sequence[int]]
+# a forward reference: typing caches Union[Shape, ...] with the class in its
+# key, which would keep every re-imported copy of this module alive
+ShapeLike = Union["Shape", Sequence[int]]
 
 
 def as_shape(value: ShapeLike) -> Shape:
@@ -128,11 +136,15 @@ def as_shape(value: ShapeLike) -> Shape:
 def storage_strides(
     shape: Shape, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
 ) -> tuple[int, ...]:
-    """Per-dimension offsets into contiguous flat storage in the given order."""
-    last = order is StorageOrder.LAST_INDEX_FASTEST
-    dims = shape.dims[::-1] if last else shape.dims
-    strides = tuple(accumulate(dims[:-1], operator.mul, initial=1))
-    return strides[::-1] if last else strides
+    """Per-dimension offsets into contiguous flat storage in the given order.
+
+    First index fastest returns the tuple the shape computed once, the same
+    object on every call, which :class:`DenseTensor` accepts unchecked.
+    """
+    if order is not StorageOrder.LAST_INDEX_FASTEST:
+        return shape._strides
+    strides = tuple(accumulate(shape.dims[:0:-1], operator.mul, initial=1))
+    return strides[::-1]
 
 
 def flat_offsets(dims: Sequence[int], strides: Sequence[int]) -> Sequence[int]:
@@ -214,20 +226,25 @@ class DenseTensor:
                 f"data length {len(data)} does not match "
                 f"shape {list(dims)} (size {shape.size})"
             )
-        ints = len(strides) == len(dims)
-        for s in strides:
-            if type(s) is not int:
-                ints = False
-                break
-        if not ints:
-            raise ShapeError(f"strides {strides} are not {len(dims)} integers")
-        # in increasing order each stride must be the product of the extents
-        # below it; exactly then the offsets are 0 .. size-1, each once
-        acc = 1
-        for s, m in sorted(zip(strides, dims)):
-            if m > 1 and s != acc:
-                raise ShapeError(f"strides {strides} do not tile shape {list(dims)}")
-            acc *= m
+        # the shape's own first-index-fastest tuple tiles by construction;
+        # identity, not equality, since (1.0, 2) == (1, 2)
+        if strides is not shape._strides:
+            ints = len(strides) == len(dims)
+            for s in strides:
+                if type(s) is not int:
+                    ints = False
+                    break
+            if not ints:
+                raise ShapeError(f"strides {strides} are not {len(dims)} integers")
+            # in increasing order each stride must be the product of the
+            # extents below it; exactly then the offsets are 0 .. size-1
+            acc = 1
+            for s, m in sorted(zip(strides, dims)):
+                if m > 1 and s != acc:
+                    raise ShapeError(
+                        f"strides {strides} do not tile shape {list(dims)}"
+                    )
+                acc *= m
         _set_shape(self, shape)
         _set_data(self, data)
         _set_strides(self, strides)

@@ -31,6 +31,10 @@ from .vecops import VecResult, vec_k
 # rank-2 DenseTensor, extents M x N
 Matrix2D = DenseTensor
 
+# largest literal factor kron_inverse_2d builds, in elements; the same limit
+# as `veckit bench`, since the factors grow as M*N^3 and M^2*N^2
+_KRON_MAX_ELEMENTS = 2**21
+
 
 def _dims2(x: DenseTensor, what: str) -> tuple[int, int]:
     if x.rank != 2:
@@ -117,7 +121,8 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
     Evaluates [vec(I_N)^T kron I_M] * (I_N kron a) literally: the right
     factor stacks shifted copies of ``a`` into an M*N^2 x N matrix, the
     left factor is the M x M*N^2 selector that folds them back.  Equal to
-    the index-map inverse on every input.
+    the index-map inverse on every input.  Raises :class:`ShapeError`
+    before allocating when either factor would exceed 2^21 elements.
     """
     if M < 1 or N < 1:
         raise ShapeError(f"target extents must be positive, got {M}x{N}")
@@ -126,6 +131,12 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
     if a.shape.size != M * N:
         raise ShapeError(
             f"vector of length {a.shape.size} cannot fill a {M}x{N} matrix"
+        )
+    largest = max(M * N**3, M * M * N * N)
+    if largest > _KRON_MAX_ELEMENTS:
+        raise ShapeError(
+            f"the closed form for {M}x{N} needs a factor of {largest} elements; "
+            f"the limit is {_KRON_MAX_ELEMENTS}"
         )
     eye_n = identity_matrix(N)
     right = kronecker(eye_n, as_column(a))

@@ -383,6 +383,22 @@ def test_bench_rejects_oversized_shape(monkeypatch, capsys, text):
     assert text in err
 
 
+def test_unvec_kron_rejects_oversized_closed_form(tmp_path, monkeypatch, capsys):
+    def no_factors(n):
+        raise AssertionError("unvec --kron built a factor over the cap")
+
+    monkeypatch.setattr(vk.kron2d, "identity_matrix", no_factors)
+    v = tmp_path / "v.json"
+    v.write_text(json.dumps({"shape": [4096], "data": [0] * 4096}))
+    out = tmp_path / "o.json"
+    code = cli.main(["unvec", str(v), str(out), "--shape", "1x4096", "--kron"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err)
+    assert f"{4096**3} elements; the limit is {2**21}" in err
+    assert not out.exists()
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import veckit as vk
+from veckit import kron2d
 from veckit import (
     ShapeError,
     as_column,
@@ -211,6 +212,36 @@ def test_kron_inverse_rejects_size_mismatch():
         kron_inverse_2d(vk.make_tensor((4,), [1, 2, 3, 4]), 2, 3)
     with pytest.raises(ShapeError):
         kron_inverse_2d(vk.make_tensor((4,), [1, 2, 3, 4]), 0, 2)
+
+
+class _Allocated(Exception):
+    pass
+
+
+def _no_factors(n):
+    raise _Allocated
+
+
+@pytest.mark.parametrize(
+    "m, n, largest",
+    [(1, 129, 129**3), (1, 4096, 4096**3), (64, 64, 64**4), (2048, 1, 2048**2)],
+)
+def test_kron_inverse_refuses_factors_over_the_cap(monkeypatch, m, n, largest):
+    monkeypatch.setattr(kron2d, "identity_matrix", _no_factors)
+    with pytest.raises(ShapeError) as info:
+        kron_inverse_2d(vk.make_tensor((m * n,), [0] * (m * n)), m, n)
+    assert str(info.value) == (
+        f"the closed form for {m}x{n} needs a factor of {largest} elements; "
+        f"the limit is {2**21}"
+    )
+
+
+@pytest.mark.parametrize("m, n", [(1, 128), (1448, 1), (32, 32)])
+def test_kron_inverse_allows_factors_at_the_cap(monkeypatch, m, n):
+    # 1x128 needs exactly 2^21 elements; the fake identity stops the build
+    monkeypatch.setattr(kron2d, "identity_matrix", _no_factors)
+    with pytest.raises(_Allocated):
+        kron_inverse_2d(vk.make_tensor((m * n,), [0] * (m * n)), m, n)
 
 
 def test_misplaced_transpose_is_not_conformable():

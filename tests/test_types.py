@@ -3,6 +3,8 @@
 import copy
 import os
 import pickle
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,7 +71,7 @@ def test_values_survive_pickle_and_copy(name, how):
 def _immutables():
     t = _tensors()["transposed"]
     return [
-        (vk.Shape((2, 3)), ("dims", "size")),
+        (vk.Shape((2, 3)), ("dims", "size", "_strides")),
         (t, ("shape", "data", "strides")),
         (vk.block(t, (1, 1, 2)), ("outer_shape", "block_shape", "blocks")),
     ]
@@ -108,6 +110,24 @@ def test_shapes_are_equal_and_hashed_by_extents():
     assert a.size == 6
 
 
+def test_cached_strides_play_no_part_in_equality_hashing_or_repr():
+    a = vk.Shape((2, 3, 4))
+    assert a._strides == (1, 2, 6)
+    assert hash(a) == hash((2, 3, 4)) and repr(a) == "Shape([2, 3, 4])"
+    assert a.__reduce__() == (vk.Shape, ((2, 3, 4),))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b._strides == a._strides
+
+
+def test_canonical_strides_are_one_object_per_shape():
+    s = vk.Shape((2, 3, 4))
+    assert vk.storage_strides(s) is vk.storage_strides(s)
+    assert vk.make_tensor(s, range(24)).strides is vk.storage_strides(s)
+    row_major = vk.storage_strides(s, StorageOrder.LAST_INDEX_FASTEST)
+    assert row_major == (12, 4, 1)
+    assert row_major is not vk.storage_strides(s, StorageOrder.LAST_INDEX_FASTEST)
+
+
 class _Extent(int):
     pass
 
@@ -143,26 +163,91 @@ def test_shape_accepts_int_subclass_extents():
     ],
 )
 def test_dense_tensor_errors_keep_their_messages(strides, message):
+    # (1.0, 2) and (True, 2) equal the shape's own strides (1, 2), which
+    # skip the check only as that very object
     with pytest.raises(ShapeError) as info:
         vk.DenseTensor(vk.Shape((2, 3)), tuple(range(6)), strides)
     assert str(info.value) == message
 
 
-def test_import_loads_no_dataclass_machinery():
-    package_root = str(Path(vk.__file__).resolve().parent.parent)
+def test_dense_tensor_checks_an_equal_copy_of_the_canonical_strides():
+    t = vk.DenseTensor(vk.Shape((2, 3)), range(6), [1, 2])
+    assert t.strides == (1, 2) and t.strides is not t.shape._strides
+    assert vk.tensors_equal(t, vk.make_tensor((2, 3), range(6)))
+
+
+_PACKAGE = Path(vk.__file__).resolve().parent
+
+
+def _python(args, package_root=_PACKAGE.parent):
+    """Run a fresh interpreter with ``package_root`` first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
     )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+
+
+def test_import_loads_no_dataclass_machinery():
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import veckit, veckit.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        timeout=60,
-    )
+    proc = _python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reimports_leave_only_the_current_copy_alive():
+    # import afresh five times, as a benchmark set-up does, then count the
+    # Shape classes that survive a collection
+    code = (
+        "import gc, importlib, sys\n"
+        "for _ in range(5):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'veckit']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('veckit.cli')\n"
+        "gc.collect()\n"
+        "alive = [c for c in gc.get_objects() if isinstance(c, type)\n"
+        "         and c.__module__ == 'veckit.core' and c.__name__ == 'Shape']\n"
+        "print(len(alive), alive == [sys.modules['veckit.core'].Shape])\n"
+    )
+    proc = _python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 True"
+
+
+_CANONICAL = "_set_ff_strides(self, tuple(strides))"
+_STRIDE_MUTANTS = {
+    "last-index-fastest": (
+        "_set_ff_strides(self, "
+        "tuple(accumulate(dims[:0:-1], operator.mul, initial=1))[::-1])"
+    ),
+    "last-stride-plus-one": "_set_ff_strides(self, (*strides[:-1], strides[-1] + 1))",
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_STRIDE_MUTANTS))
+def test_verify_catches_wrong_cached_strides(tmp_path, mutant):
+    # DenseTensor trusts a shape's own strides unchecked, so verify is what
+    # must notice when they are computed wrong
+    copy_root = tmp_path / "src"
+    shutil.copytree(
+        _PACKAGE, copy_root / "veckit", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    core = copy_root / "veckit" / "core.py"
+    source = core.read_text(encoding="utf-8")
+    assert source.count(_CANONICAL) == 1
+    core.write_text(
+        source.replace(_CANONICAL, _STRIDE_MUTANTS[mutant]), encoding="utf-8"
+    )
+    proc = _python(
+        ["-m", "veckit", "verify", "--cases", "20", "--max-rank", "3"], copy_root
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert re.search(r"^FAIL .*: seed=\d+ case=\d+: ", proc.stdout, re.MULTILINE)
