@@ -166,10 +166,19 @@ def flat_offsets(dims: Sequence[int], strides: Sequence[int]) -> Sequence[int]:
 def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple:
     """``data`` at every offset of :func:`flat_offsets`, copied run by run.
 
-    Extent-1 dims are dropped and a dim whose stride spans the dim before it
-    is merged into it; each run of the fastest remaining dim is then one
-    extended slice.  The layout ``0 .. len(data)-1`` in order returns ``data``.
+    The layout ``0 .. len(data)-1`` in order returns ``data``, decided by one
+    pass over the strides before anything is built.  Otherwise extent-1 dims
+    are dropped and a dim whose stride spans the dim before it is merged into
+    it; each run of the fastest remaining dim is then one extended slice.
     """
+    n = 1
+    for m, s in zip(dims, strides):
+        if s != n and m > 1:
+            break
+        n *= m
+    else:
+        if n == len(data):
+            return data
     runs = []
     for m, s in zip(dims, strides):
         if runs and s == runs[-1][0] * runs[-1][1]:
@@ -177,8 +186,6 @@ def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple
         elif m > 1:
             runs.append((m, s))
     (m0, s0), rest = (runs or [(1, 1)])[0], runs[1:]
-    if not rest and m0 == len(data):
-        return data
     span = (m0 - 1) * s0 + 1
     bases = flat_offsets([m for m, _ in rest], [s for _, s in rest])
     return tuple(chain.from_iterable([data[b : b + span : s0] for b in bases]))

@@ -15,6 +15,7 @@ meant as a correctness oracle, not a performance kernel.
 from __future__ import annotations
 
 from itertools import compress
+from math import isfinite
 
 from .core import (
     DenseTensor,
@@ -121,8 +122,10 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
     Evaluates [vec(I_N)^T kron I_M] * (I_N kron a) literally: the right
     factor stacks shifted copies of ``a`` into an M*N^2 x N matrix, the
     left factor is the M x M*N^2 selector that folds them back.  Equal to
-    the index-map inverse on every input.  Raises :class:`ShapeError`
-    before allocating when either factor would exceed 2^21 elements.
+    the index-map inverse on every finite input.  Raises :class:`ShapeError`
+    before allocating when either factor would exceed 2^21 elements, or
+    for a float NaN or infinity, which the selector's zeros would spread
+    (0 * NaN and 0 * inf are NaN).  Ints of any size are finite.
     """
     if M < 1 or N < 1:
         raise ShapeError(f"target extents must be positive, got {M}x{N}")
@@ -138,6 +141,12 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
             f"the closed form for {M}x{N} needs a factor of {largest} elements; "
             f"the limit is {_KRON_MAX_ELEMENTS}"
         )
+    for i, v in enumerate(a.data):
+        if isinstance(v, float) and not isfinite(v):
+            raise ShapeError(
+                f"element {i} of the vector is {v}; the closed form needs "
+                f"finite values"
+            )
     eye_n = identity_matrix(N)
     right = kronecker(eye_n, as_column(a))
     left = kronecker(as_row(vec2(eye_n)), identity_matrix(M))

@@ -72,6 +72,11 @@ def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
     return transpose(make_tensor(dims, data, rng.choice(list(StorageOrder))), m, n)
 
 
+# largest tensor or Kronecker factor a run may draw, in elements: the limit
+# `veckit bench` and `unvec --kron` use; at extent 2 it allows rank 21
+_MAX_DRAWN_ELEMENTS = 2**21
+_MAX_RANK = 21
+
 _SHOWN = 16  # elements per counterexample, so failure reports stay bounded
 _SHOWN_CHARS = 300  # characters of a raised exception's message
 
@@ -334,6 +339,9 @@ def run_all(
     ``max_rank`` and ``max_extent`` bound the randomly drawn shapes
     (checks that need rank 2 enforce their own floor), ``cases`` is the
     per-check case budget, and ``seed`` makes the whole run reproducible.
+    Raises :class:`ShapeError` before any check runs when ``max_rank`` is
+    over 21 or a drawn tensor (``max_extent ** max_rank``) or Kronecker
+    factor (``max(2, max_extent) ** 4``) could exceed 2^21 elements.
     """
     if max_rank < 1:
         raise ShapeError(f"max rank must be positive, got {max_rank}")
@@ -341,6 +349,18 @@ def run_all(
         raise ShapeError(f"max extent must be positive, got {max_extent}")
     if cases < 1:
         raise ShapeError(f"case budget must be positive, got {cases}")
+    # the rank first, so that no huge power is formed
+    if max_rank > _MAX_RANK:
+        raise ShapeError(f"max rank {max_rank} is over the limit of {_MAX_RANK}")
+    for size, what in (
+        (max_extent**max_rank, "tensors"),
+        (max(2, max_extent) ** 4, "Kronecker factors"),
+    ):
+        if size > _MAX_DRAWN_ELEMENTS:
+            raise ShapeError(
+                f"max rank {max_rank} and max extent {max_extent} draw {what} "
+                f"of up to {size} elements; the limit is {_MAX_DRAWN_ELEMENTS}"
+            )
     cfg = {"max_rank": max_rank, "max_extent": max_extent, "cases": cases}
     results = []
     for name, fn in _CHECKS:

@@ -332,6 +332,55 @@ def test_verify_report_on_large_shapes_is_bounded(monkeypatch):
     assert max(len(line) for line in lines) < 1000
 
 
+class _Drawn(Exception):
+    pass
+
+
+def _no_draws(*args):
+    raise _Drawn
+
+
+@pytest.mark.parametrize(
+    "rank, extent, message",
+    [
+        (30, 30, "max rank 30 is over the limit of 21"),
+        (1000000000, 1, "max rank 1000000000 is over the limit of 21"),
+        (
+            2,
+            100000,
+            "max rank 2 and max extent 100000 draw tensors of up to "
+            "10000000000 elements; the limit is 2097152",
+        ),
+    ],
+    ids=["rank-30", "rank-1e9", "extent-100000"],
+)
+def test_verify_refuses_sizes_beyond_the_limit(
+    monkeypatch, capsys, rank, extent, message
+):
+    # nothing may be drawn: a draw here would ask for more memory than exists
+    monkeypatch.setattr(verify, "_random_shape", _no_draws)
+    monkeypatch.setattr(verify, "_random_tensor", _no_draws)
+    with pytest.raises(vk.ShapeError) as info:
+        verify.run_all(max_rank=rank, max_extent=extent, cases=1)
+    assert str(info.value) == message
+    argv = ["verify", "--max-rank", str(rank), "--max-extent", str(extent)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "rank, extent", [(4, 3), (5, 4), (6, 4), (4, 8), (3, 3), (21, 2), (1, 38)]
+)
+def test_verify_allows_sizes_within_the_limit(monkeypatch, rank, extent):
+    monkeypatch.setattr(verify, "_random_shape", _no_draws)
+    monkeypatch.setattr(verify, "_random_tensor", _no_draws)
+    report = verify.run_all(max_rank=rank, max_extent=extent, cases=1)
+    # every check that draws stops at its first draw, so the limit let it run
+    assert "_Drawn" in verify.format_report(report)
+
+
 def test_bench_csv(capsys):
     assert cli.main(["bench", "--shapes", "2x2x3", "3x3", "--reps", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -101,6 +101,14 @@ def test_gather_returns_an_in_order_layout_as_is():
     assert gather(data, (3,), (1,)) is data
     assert gather(data, (1, 3, 1), (7, 1, 3)) is data
     assert gather(data, (2,), (2,)) == (5, 7)
+    # in order but shorter than the storage: a copy, not the storage
+    assert gather((5, 6, 7, 8), (2,), (1,)) == (5, 6)
+    listed = [5, 6, 7, 8]
+    assert gather(listed, (2, 2), (1, 2)) is listed
+    # extent-1 dims may carry any stride, 0 included, at the front or between
+    assert gather(listed, (1, 4), (0, 1)) is listed
+    assert gather(listed, (2, 1, 2), (1, 0, 2)) is listed
+    assert gather(listed, (1, 2, 1, 2, 1), (0, 1, 0, 2, 0)) is listed
 
 
 def test_iter_indices_first_index_fastest():

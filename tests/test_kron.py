@@ -1,5 +1,6 @@
 """Kronecker products, the closed-form 2-D inverse, and product identities."""
 
+import math
 import random
 from itertools import product
 
@@ -242,6 +243,28 @@ def test_kron_inverse_allows_factors_at_the_cap(monkeypatch, m, n):
     monkeypatch.setattr(kron2d, "identity_matrix", _no_factors)
     with pytest.raises(_Allocated):
         kron_inverse_2d(vk.make_tensor((m * n,), [0] * (m * n)), m, n)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 3])
+def test_kron_inverse_refuses_non_finite_floats(monkeypatch, value, position):
+    # the selector's zeros would turn one NaN or inf into several NaNs
+    monkeypatch.setattr(kron2d, "identity_matrix", _no_factors)
+    data = [1.0, -2.0, 3.0, 4.0]
+    data[position] = value
+    with pytest.raises(ShapeError) as info:
+        kron_inverse_2d(vk.make_tensor((4,), data), 2, 2)
+    assert str(info.value) == (
+        f"element {position} of the vector is {value}; "
+        f"the closed form needs finite values"
+    )
+
+
+def test_kron_inverse_keeps_ints_beyond_the_float_range():
+    a = vk.make_tensor((4,), [10**400, 1, -2, 3])
+    got = kron_inverse_2d(a, 2, 2)
+    assert vk.to_nested(got) == [[10**400, -2], [1, 3]]
+    assert vk.tensors_equal(got, unvec_by_index(a, (2, 2)))
 
 
 def test_misplaced_transpose_is_not_conformable():

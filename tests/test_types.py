@@ -222,6 +222,26 @@ def test_reimports_leave_only_the_current_copy_alive():
     assert proc.stdout.strip() == "1 True"
 
 
+def _verify_mutant(tmp_path, canonical, mutant, max_rank):
+    """Run ``verify --cases 20`` on a copy of the package whose ``core.py``
+    has its one ``canonical`` line replaced by ``mutant``; expect exit 2
+    with a replayable ``seed=… case=…`` line."""
+    copy_root = tmp_path / "src"
+    shutil.copytree(
+        _PACKAGE, copy_root / "veckit", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    core = copy_root / "veckit" / "core.py"
+    source = core.read_text(encoding="utf-8")
+    assert source.count(canonical) == 1
+    core.write_text(source.replace(canonical, mutant), encoding="utf-8")
+    proc = _python(
+        ["-m", "veckit", "verify", "--cases", "20", "--max-rank", str(max_rank)],
+        copy_root,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert re.search(r"^FAIL .*: seed=\d+ case=\d+: ", proc.stdout, re.MULTILINE)
+
+
 _CANONICAL = "_set_ff_strides(self, tuple(strides))"
 _STRIDE_MUTANTS = {
     "last-index-fastest": (
@@ -236,18 +256,19 @@ _STRIDE_MUTANTS = {
 def test_verify_catches_wrong_cached_strides(tmp_path, mutant):
     # DenseTensor trusts a shape's own strides unchecked, so verify is what
     # must notice when they are computed wrong
-    copy_root = tmp_path / "src"
-    shutil.copytree(
-        _PACKAGE, copy_root / "veckit", ignore=shutil.ignore_patterns("__pycache__")
-    )
-    core = copy_root / "veckit" / "core.py"
-    source = core.read_text(encoding="utf-8")
-    assert source.count(_CANONICAL) == 1
-    core.write_text(
-        source.replace(_CANONICAL, _STRIDE_MUTANTS[mutant]), encoding="utf-8"
-    )
-    proc = _python(
-        ["-m", "veckit", "verify", "--cases", "20", "--max-rank", "3"], copy_root
-    )
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert re.search(r"^FAIL .*: seed=\d+ case=\d+: ", proc.stdout, re.MULTILINE)
+    _verify_mutant(tmp_path, _CANONICAL, _STRIDE_MUTANTS[mutant], max_rank=3)
+
+
+# gather's in-order pre-pass; dropping its ``m > 1`` guard is an equivalent
+# mutant (extent-1 layouts only take the slow path), so it is not listed
+_IN_ORDER_TEST = "if s != n and m > 1:"
+_IN_ORDER_MUTANTS = {
+    "strides-not-compared": "if False:",
+    "first-stride-only": "if s != n and m > 1 and n == 1:",
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_IN_ORDER_MUTANTS))
+def test_verify_catches_a_wrong_in_order_test(tmp_path, mutant):
+    # a layout wrongly taken as in order returns the storage unpermuted
+    _verify_mutant(tmp_path, _IN_ORDER_TEST, _IN_ORDER_MUTANTS[mutant], max_rank=4)
