@@ -17,7 +17,6 @@ from .core import (
     ShapeLike,
     as_shape,
     check_index,
-    elements,
     gather,
     storage_strides,
     _read_only,
@@ -120,7 +119,8 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     sub, grid = bt.block_shape.dims, bt.outer_shape.dims
     shape = Shape(tuple(T * S for T, S in zip(grid, sub)))
     # the blocks' elements end to end, each block first index fastest
-    flat = tuple(chain.from_iterable(map(elements, bt.blocks)))
+    runs = [gather(b.data, sub, b.strides) for b in bt.blocks]
+    flat = tuple(chain.from_iterable(runs))
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest
     n = bt.block_shape.size

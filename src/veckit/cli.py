@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import indexmap, kron2d, vecops, verify
 from .core import Shape, StorageOrder, make_tensor, tensors_equal
 from .errors import ShapeError, TensorError, VerificationError
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import _MAX_RANK, read_tensor, write_tensor
 
 
 # largest shape `bench` accepts, in elements (128x128x128); the timed runs
@@ -56,9 +56,15 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_shape(text: str) -> Shape:
-    """Parse an x-separated extent list such as ``2x2x3``."""
+    """Parse an x-separated extent list such as ``2x2x3``.
+
+    More than ``_MAX_RANK`` extents raise :class:`ShapeError` unparsed.
+    """
+    parts = text.lower().split("x")
+    if len(parts) > _MAX_RANK:
+        raise ShapeError(f"shape has rank {len(parts)}; the limit is {_MAX_RANK}")
     try:
-        dims = tuple(int(part, 10) for part in text.lower().split("x"))
+        dims = tuple(int(part, 10) for part in parts)
     except ValueError:
         raise ShapeError(
             f"bad shape {text!r}; expected x-separated extents like 2x2x3"

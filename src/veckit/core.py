@@ -348,10 +348,12 @@ def squeeze_trailing(t: DenseTensor) -> DenseTensor:
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:
     """Shape-strict logical equality: equal ranks, extents, and elements."""
-    if a.shape.dims != b.shape.dims:
+    dims = a.shape.dims
+    if b.shape.dims != dims:
         return False
-    # element by element: list == would let a NaN equal itself by identity
-    return all(map(operator.eq, elements(a), elements(b)))
+    xs, ys = gather(a.data, dims, a.strides), gather(b.data, dims, b.strides)
+    # element by element: tuple == would let a NaN equal itself by identity
+    return all(map(operator.eq, xs, ys))
 
 
 def from_nested(nested) -> DenseTensor:

@@ -21,7 +21,7 @@ from .core import (
     DenseTensor,
     Shape,
     StorageOrder,
-    elements,
+    gather,
     make_tensor,
     to_nested,
     transpose,
@@ -72,8 +72,9 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     n2, p = _dims2(y, "right factor")
     if n != n2:
         raise ShapeError(f"inner extents differ: {m}x{n} times {n2}x{p}")
-    xs = elements(x, StorageOrder.LAST_INDEX_FASTEST)
-    ys = elements(y, StorageOrder.LAST_INDEX_FASTEST)
+    # both factors row by row: reversed dims and strides list the last index fastest
+    xs = gather(x.data, x.shape.dims[::-1], x.strides[::-1])
+    ys = gather(y.data, y.shape.dims[::-1], y.strides[::-1])
     out = []
     for i in range(0, m * n, n):
         xrow = xs[i : i + n]

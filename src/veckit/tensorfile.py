@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 from typing import Union
 
-from .core import DenseTensor, Shape, StorageOrder, elements, make_tensor
+from .core import DenseTensor, Shape, StorageOrder, gather, make_tensor
 from .errors import FormatError, ShapeError
 
 _ORDER_TAGS = {
@@ -28,6 +28,12 @@ PathLike = Union[str, Path]
 # largest tensor a file may declare, in elements; a larger shape is
 # rejected before its data is looked at
 _MAX_ELEMENTS = 2**24
+
+# largest rank a file may declare or be written with, NumPy's NPY_MAXDIMS;
+# the block route's cost grows about quadratically in rank, so a tiny file
+# of a huge rank would otherwise run for hours.  The CLI applies the same
+# limit to the shapes it parses; library Shape does not enforce it.
+_MAX_RANK = 64
 
 
 def _coerce_number(value, pos: int, path: PathLike) -> float:
@@ -87,6 +93,10 @@ def read_tensor(path: PathLike) -> DenseTensor:
     raw_shape = doc["shape"]
     if not isinstance(raw_shape, list):
         raise FormatError(f"{path}: shape must be a list of integers")
+    if len(raw_shape) > _MAX_RANK:
+        raise FormatError(
+            f"{path}: shape has rank {len(raw_shape)}; the limit is {_MAX_RANK}"
+        )
     try:
         shape = Shape(tuple(raw_shape))
     except ShapeError as exc:
@@ -122,15 +132,21 @@ def write_tensor(
 
     Elements are emitted as 64-bit floats via their shortest round-trip
     decimal form, so read-after-write reproduces the values exactly.  A
-    non-finite element, or an integer beyond the float range, raises
-    :class:`FormatError` and writes nothing.
+    non-finite element, an integer beyond the float range, or a rank that
+    :func:`read_tensor` would refuse raises :class:`FormatError` and writes
+    nothing.
     """
     if order not in _ORDER_TAGS:
         raise FormatError(
             f"unknown order {order!r}; expected one of {sorted(_ORDER_TAGS)}"
         )
+    if t.rank > _MAX_RANK:
+        raise FormatError(f"{path}: tensor has rank {t.rank}; the limit is {_MAX_RANK}")
+    dims, strides = t.shape.dims, t.strides
+    if _ORDER_TAGS[order] is StorageOrder.LAST_INDEX_FASTEST:
+        dims, strides = dims[::-1], strides[::-1]
     try:
-        flat = list(map(float, elements(t, _ORDER_TAGS[order])))
+        flat = list(map(float, gather(t.data, dims, strides)))
     except OverflowError:
         raise FormatError(f"{path}: an element is beyond the float range") from None
     # integer-valued floats print as integers, everything else as the

@@ -11,7 +11,8 @@ determine the split.
 
 from __future__ import annotations
 
-import math
+import operator
+from itertools import accumulate
 
 from .blocking import block, transpose_outer, unblock
 from .core import DenseTensor, Shape, ShapeLike, as_shape, transpose
@@ -101,9 +102,10 @@ def vec_inverse(a: VecResult, target: ShapeLike) -> DenseTensor:
             f"vector of length {a.shape.size} cannot fill shape "
             f"{list(target.dims)} of size {target.size}"
         )
+    # every split extent M_{i+1} * ... * M_k from one suffix-product pass
     t = a
-    for i in range(1, target.rank):
-        t = shift_inverse(t, math.prod(target.dims[i:]))
+    for extent in reversed(list(accumulate(target.dims[:0:-1], operator.mul))):
+        t = shift_inverse(t, extent)
     return t
 
 

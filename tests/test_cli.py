@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,61 @@ def test_shape_beyond_the_size_cap_is_one_error_line(tmp_path, capsys):
     assert _is_one_error_line(err)
     assert "limit" in err
     assert not out.exists()
+
+
+def _no_shifts(monkeypatch):
+    def no_shift(*args):
+        raise AssertionError("a shift ran on a shape over the rank limit")
+
+    monkeypatch.setattr(vecops, "shift", no_shift)
+    monkeypatch.setattr(vecops, "shift_inverse", no_shift)
+
+
+def _rank_file(path, rank):
+    path.write_text(json.dumps({"shape": [1] * rank, "data": [5]}), encoding="utf-8")
+    return path
+
+
+def test_rank_beyond_the_limit_is_one_error_line(tmp_path, monkeypatch, capsys):
+    _no_shifts(monkeypatch)
+    deep = _rank_file(tmp_path / "deep.json", 65)
+    vector = _rank_file(tmp_path / "v.json", 1)
+    out = tmp_path / "o.json"
+    deep_text = "1x" * 64 + "1"
+    for argv in (
+        ["vec", str(deep), str(out)],
+        ["shift", str(deep), str(out)],
+        ["unvec", str(vector), str(out), "--shape", deep_text],
+        ["bench", "--shapes", "2x2", deep_text, "--reps", "1"],
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _is_one_error_line(captured.err), argv
+        assert "has rank 65; the limit is 64" in captured.err
+        assert not out.exists()
+
+
+def test_rank_at_the_limit_runs(tmp_path, capsys):
+    cap = _rank_file(tmp_path / "cap.json", 64)
+    out = tmp_path / "o.json"
+    cap_text = "1x" * 62 + "2x2"
+    start = time.perf_counter()
+    assert cli.main(["vec", str(cap), str(out)]) == 0
+    assert cli.main(["vec", str(cap), str(out), "--row"]) == 0
+    unvec = ["unvec", str(out), str(tmp_path / "u.json"), "--shape", "1x" * 63 + "1"]
+    assert cli.main(unvec) == 0
+    assert cli.main(["bench", "--shapes", cap_text, "--reps", "1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert read_tensor(tmp_path / "u.json").rank == 64
+    # a split would write rank 65, which read_tensor refuses; nothing is written
+    split = tmp_path / "s.json"
+    argv = ["shift", str(cap), str(split), "--inverse", "--last-extent", "1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert _is_one_error_line(captured.err)
+    assert captured.err.endswith("tensor has rank 65; the limit is 64\n")
+    assert not split.exists()
 
 
 def test_exit_code_bad_shape_argument(tmp_path, golden_file, capsys):

@@ -1,0 +1,118 @@
+"""Structural counts of the block route: the one-gather floor as a ceiling.
+
+Timings move with the machine; the work the block route does can be counted
+exactly.  Every name through which the package resolves ``core.gather`` and
+``core.elements`` is wrapped, and so is ``DenseTensor.__init__``.  Each op
+then runs on fixed row- and column-major shapes, and its counts must not
+exceed the ceilings below:
+
+* gather calls, and the calls that copy (return something other than the
+  storage they were given);
+* elements copied by those gathers;
+* tensors built;
+* ``elements`` calls, which must be zero: a reader that only iterates or
+  indexes takes gather's tuple, not a list copy of it.
+
+The ceilings are today's counts.  Lowering them is the aim of the
+strided-grid work; a change that raises one says so.  The shapes are 16^3
+and 4^6, 4,096 elements each, so the module runs in well under a second;
+64^3 and 8^6, of the same ranks, take several seconds and count 4,166 and
+37,463 gather calls per op, with the same copying counts.
+
+Two copies per shift are not counted, because no gather makes them:
+``block``'s per-block slices of its one gather, and ``unblock``'s
+concatenation of its blocks before its own gather.  Each copies about the
+tensor's size once per shift.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from veckit import core, vecops
+from veckit.core import StorageOrder
+
+ROW = StorageOrder.LAST_INDEX_FASTEST
+COLUMN = StorageOrder.FIRST_INDEX_FASTEST
+SIZE = 4096
+
+# (shape, op) -> (gather calls, tensors built); both storage orders
+GATHERS_AND_TENSORS = {
+    ((16, 16, 16), "vec_k"): (278, 276),
+    ((16, 16, 16), "rvec_k"): (278, 277),
+    ((16, 16, 16), "vec_inverse"): (278, 276),
+    ((16, 16, 16), "rvec_inverse"): (278, 277),
+    ((4,) * 6, "vec_k"): (1379, 1374),
+    ((4,) * 6, "rvec_k"): (1379, 1377),
+    ((4,) * 6, "vec_inverse"): (1379, 1374),
+    ((4,) * 6, "rvec_inverse"): (1379, 1377),
+}
+
+# the one gather that copies, of the whole tensor once: the flattening whose
+# index order differs from the storage order; every other op copies nothing
+COPYING = {(ROW, "vec_k"), (COLUMN, "rvec_k")}
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    counts = Counter()
+    gather, elements, init = core.gather, core.elements, core.DenseTensor.__init__
+
+    def counted_gather(data, dims, strides):
+        out = gather(data, dims, strides)
+        counts["gathers"] += 1
+        if out is not data:
+            counts["copying"] += 1
+            counts["copied"] += len(out)
+        return out
+
+    def counted_elements(*args, **kwargs):
+        counts["elements"] += 1
+        return elements(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["tensors"] += 1
+        init(self, *args, **kwargs)
+
+    wrappers = {gather: counted_gather, elements: counted_elements}
+    for name, module in list(sys.modules.items()):
+        if name == "veckit" or name.startswith("veckit."):
+            for attr, value in list(vars(module).items()):
+                for original, wrapper in wrappers.items():
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(core.DenseTensor, "__init__", counted_init)
+    return counts
+
+
+def _inputs(dims, order):
+    """The op's argument for each op: the tensor, or its flattening."""
+    t = core.make_tensor(dims, range(SIZE), order)
+    return {
+        "vec_k": (vecops.vec_k, t),
+        "rvec_k": (vecops.rvec_k, t),
+        "vec_inverse": (lambda a: vecops.vec_inverse(a, dims), vecops.vec_k(t)),
+        "rvec_inverse": (lambda a: vecops.rvec_inverse(a, dims), vecops.rvec_k(t)),
+    }
+
+
+@pytest.mark.parametrize("order", [ROW, COLUMN], ids=["row", "column"])
+@pytest.mark.parametrize(
+    "dims, op",
+    GATHERS_AND_TENSORS,
+    ids=[f"{'x'.join(map(str, dims))}-{op}" for dims, op in GATHERS_AND_TENSORS],
+)
+def test_block_route_counts_stay_under_the_ceilings(tally, dims, op, order):
+    fn, arg = _inputs(dims, order)[op]
+    tally.clear()
+    fn(arg)
+    gathers, tensors = GATHERS_AND_TENSORS[dims, op]
+    copying = 1 if (order, op) in COPYING else 0
+    assert tally["elements"] == 0
+    assert tally["gathers"] <= gathers
+    assert tally["copying"] <= copying
+    assert tally["copied"] <= copying * SIZE
+    assert tally["tensors"] <= tensors
+    # the wrappers are in place: the route cannot run without a gather
+    assert tally["gathers"] > 0 and tally["tensors"] > 0

@@ -1,0 +1,65 @@
+"""Every storage order of every small shape, checked exhaustively.
+
+``verify`` draws a row- or column-major tensor and transposes it once, which
+reaches only a few of the storage orders above rank 3.  Here every shape of
+rank at most 4 with extents 1-3 is laid out in every order of its dims,
+fastest first, over distinct data: 728 layouts that differ as maps from
+index to offset (orders that differ only in where the extent-1 dims sit
+are the same layout).  On each one both flattenings must match the index
+route, both round trips must restore the tensor, and a file written in
+either element order must read back as the same tensor.  This reaches the
+readers that take ``core.gather``'s tuple, ``unblock``, ``tensors_equal``
+and ``write_tensor``, on layouts a random draw rarely makes.
+"""
+
+import itertools
+
+import pytest
+
+import veckit as vk
+from veckit import DenseTensor, Shape, read_tensor, write_tensor
+from veckit.core import elements
+from veckit.indexmap import vec_by_index
+
+# distinct layouts per rank; 728 in all
+LAYOUTS = {1: 3, 2: 13, 3: 79, 4: 633}
+
+
+def _layouts(rank):
+    """One tensor per distinct layout of every rank-``rank`` shape."""
+    for dims in itertools.product(range(1, 4), repeat=rank):
+        seen = set()
+        for order in itertools.permutations(range(rank)):
+            strides = [0] * rank
+            step = 1
+            for n in order:
+                strides[n] = step
+                step *= dims[n]
+            key = tuple(s if m > 1 else 0 for s, m in zip(strides, dims))
+            if key not in seen:
+                seen.add(key)
+                yield DenseTensor(Shape(dims), range(step), strides)
+
+
+def _same(x, y):
+    """Equal shapes and elements, by a plain list compare and by tensors_equal."""
+    assert x.shape == y.shape
+    assert elements(x) == elements(y)
+    assert vk.tensors_equal(x, y)
+
+
+@pytest.mark.parametrize("rank", sorted(LAYOUTS))
+def test_every_storage_order_matches_the_index_route(tmp_path, rank):
+    path = tmp_path / "t.json"
+    count = 0
+    for t in _layouts(rank):
+        count += 1
+        v, r = vk.vec_k(t), vk.rvec_k(t)
+        _same(v, vec_by_index(t))
+        _same(r, vec_by_index(vk.reverse_dims(t)))
+        _same(vk.vec_inverse(v, t.shape), t)
+        _same(vk.rvec_inverse(r, t.shape), t)
+        for order in ("row-major", "column-major"):
+            write_tensor(t, path, order)
+            _same(read_tensor(path), t)
+    assert count == LAYOUTS[rank]

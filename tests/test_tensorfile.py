@@ -256,3 +256,21 @@ def test_read_rejects_shape_beyond_the_size_cap(tmp_path):
     p = _write(tmp_path / "cap.json", '{"shape": [4096, 4096], "data": []}')
     with pytest.raises(ShapeError, match="0 data values"):
         read_tensor(p)
+
+
+def test_read_rejects_rank_beyond_the_limit(tmp_path):
+    # checked before the extents: a rank-65 shape of zeros names its rank
+    p = _write(tmp_path / "deep.json", json.dumps({"shape": [0] * 65, "data": [5]}))
+    with pytest.raises(FormatError) as err:
+        read_tensor(p)
+    assert str(err.value) == f"{p}: shape has rank 65; the limit is 64"
+    p = _write(tmp_path / "cap.json", json.dumps({"shape": [1] * 64, "data": [5]}))
+    assert read_tensor(p).rank == 64
+
+
+def test_write_rejects_rank_read_would_refuse(tmp_path):
+    p = tmp_path / "t.json"
+    with pytest.raises(FormatError) as err:
+        write_tensor(vk.make_tensor((1,) * 65, [5]), p)
+    assert str(err.value) == f"{p}: tensor has rank 65; the limit is 64"
+    assert not p.exists()
