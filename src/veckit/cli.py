@@ -18,14 +18,15 @@ import time
 from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops, verify
-from .core import Shape, StorageOrder, make_tensor, tensors_equal
+from .core import (
+    _MAX_BUILT_ELEMENTS,
+    Shape,
+    StorageOrder,
+    make_tensor,
+    tensors_equal,
+)
 from .errors import ShapeError, TensorError, VerificationError
 from .tensorfile import _MAX_RANK, read_tensor, write_tensor
-
-
-# largest shape `bench` accepts, in elements (128x128x128); the timed runs
-# hold a few copies of the tensor, so a larger shape would exhaust memory
-_BENCH_MAX_ELEMENTS = 2**21
 
 
 class BenchRow(NamedTuple):
@@ -161,21 +162,14 @@ def _cmd_vec(args) -> int:
 
 
 def _cmd_unvec(args) -> int:
+    # the arguments first, so that a bad one is reported without reading the file
+    target = _parse_shape(args.shape)
+    if args.kron and target.rank != 2:
+        raise ShapeError("--kron needs a rank-2 shape like 3x4")
     t = read_tensor(args.input)
     if t.rank != 1:
-        print(
-            f"error: unvec input must be rank 1, got rank {t.rank}",
-            file=sys.stderr,
-        )
-        return 1
-    target = _parse_shape(args.shape)
+        raise ShapeError(f"unvec input must be rank 1, got rank {t.rank}")
     if args.kron:
-        if target.rank != 2:
-            print(
-                "error: --kron needs a rank-2 shape like 3x4",
-                file=sys.stderr,
-            )
-            return 1
         m, n = target.dims
         if args.row:
             out = vecops.reverse_dims(kron2d.kron_inverse_2d(t, n, m))
@@ -191,11 +185,9 @@ def _cmd_unvec(args) -> int:
 
 def _cmd_shift(args) -> int:
     if args.inverse and args.last_extent is None:
-        print("error: --inverse requires --last-extent", file=sys.stderr)
-        return 1
+        raise TensorError("--inverse requires --last-extent")
     if args.last_extent is not None and not args.inverse:
-        print("error: --last-extent only applies with --inverse", file=sys.stderr)
-        return 1
+        raise TensorError("--last-extent only applies with --inverse")
     t = read_tensor(args.input)
     out = vecops.shift_inverse(t, args.last_extent) if args.inverse else vecops.shift(t)
     write_tensor(out, args.output)
@@ -223,10 +215,10 @@ def _bench_tensor(shape: Shape):
 def _cmd_bench(args) -> int:
     shapes = [(text, _parse_shape(text)) for text in args.shapes]
     for text, shape in shapes:
-        if shape.size > _BENCH_MAX_ELEMENTS:
+        if shape.size > _MAX_BUILT_ELEMENTS:
             raise ShapeError(
                 f"bench shape {text} has {shape.size} elements; "
-                f"the limit is {_BENCH_MAX_ELEMENTS}"
+                f"the limit is {_MAX_BUILT_ELEMENTS}"
             )
     jobs = []
     for text, shape in shapes:

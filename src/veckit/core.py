@@ -31,6 +31,11 @@ Scalar = Union[int, float]
 # Index arithmetic must stay within 64-bit signed integers.
 _MAX_SIZE = 2 ** 63
 
+# Largest tensor that `veckit bench` times, `verify` draws or the closed-form
+# 2-D inverse builds as a factor, in elements (128x128x128).  Each holds a few
+# such tensors at once, so a larger one would exhaust memory.
+_MAX_BUILT_ELEMENTS = 2 ** 21
+
 
 class StorageOrder(Enum):
     """Contiguous layout presets; :func:`storage_strides` turns one into strides."""

@@ -18,6 +18,7 @@ from itertools import compress
 from math import isfinite
 
 from .core import (
+    _MAX_BUILT_ELEMENTS,
     DenseTensor,
     Shape,
     StorageOrder,
@@ -31,10 +32,6 @@ from .vecops import VecResult, vec_k
 
 # rank-2 DenseTensor, extents M x N
 Matrix2D = DenseTensor
-
-# largest literal factor kron_inverse_2d builds, in elements; the same limit
-# as `veckit bench`, since the factors grow as M*N^3 and M^2*N^2
-_KRON_MAX_ELEMENTS = 2**21
 
 
 def _dims2(x: DenseTensor, what: str) -> tuple[int, int]:
@@ -137,10 +134,10 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
             f"vector of length {a.shape.size} cannot fill a {M}x{N} matrix"
         )
     largest = max(M * N**3, M * M * N * N)
-    if largest > _KRON_MAX_ELEMENTS:
+    if largest > _MAX_BUILT_ELEMENTS:
         raise ShapeError(
             f"the closed form for {M}x{N} needs a factor of {largest} elements; "
-            f"the limit is {_KRON_MAX_ELEMENTS}"
+            f"the limit is {_MAX_BUILT_ELEMENTS}"
         )
     for i, v in enumerate(a.data):
         if isinstance(v, float) and not isfinite(v):

@@ -1,12 +1,15 @@
 """Self-check suite: every cross-module invariant, seeded and reproducible.
 
-Each check draws its own generator from ``Random(f"{seed}:{name}")``, so a
-failure report names the seed and case number that replay it exactly, and
-checks stay independent of execution order.  The checks cover the golden
-worked example, the shift involution, agreement of the block-composition
-and index-arithmetic vectorization paths, every round trip, the index-map
-bijection and its digit decomposition, the shape-collapse witness, the
-Kronecker product identities, and the closed-form 2-D inverse.
+Each check is a generator over its own cases, drawn from
+``Random(f"{seed}:{name}")``: it yields ``None`` after each case that holds,
+or a counterexample's text, after which it is not resumed.  :func:`run_all`
+numbers the cases, so a failure report names the seed and case number that
+replay it exactly, and checks stay independent of execution order.  The
+checks cover the golden worked example, the shift involution, agreement of
+the block-composition and index-arithmetic vectorization paths, every round
+trip, the index-map bijection and its digit decomposition, the
+shape-collapse witness, the Kronecker product identities, and the
+closed-form 2-D inverse.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops
 from .core import (
+    _MAX_BUILT_ELEMENTS,
     DenseTensor,
     Shape,
     StorageOrder,
@@ -24,6 +28,7 @@ from .core import (
     iter_indices,
     make_tensor,
     tensors_equal,
+    to_nested,
     transpose,
 )
 from .errors import ShapeError
@@ -72,10 +77,7 @@ def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
     return transpose(make_tensor(dims, data, rng.choice(list(StorageOrder))), m, n)
 
 
-# largest tensor or Kronecker factor a run may draw, in elements: the limit
-# `veckit bench` and `unvec --kron` use; at extent 2 it allows rank 21
-_MAX_DRAWN_ELEMENTS = 2**21
-_MAX_RANK = 21
+_MAX_RANK = _MAX_BUILT_ELEMENTS.bit_length() - 1  # 21: extent 2 at the limit
 
 _SHOWN = 16  # elements per counterexample, so failure reports stay bounded
 _SHOWN_CHARS = 300  # characters of a raised exception's message
@@ -87,78 +89,55 @@ def _describe(t: DenseTensor) -> str:
     return f"shape={list(t.shape.dims)} data={shown}{more}"
 
 
-def _each_case(cfg: dict, cases: int):
-    """Case numbers ``0 .. cases-1``, each noted in ``cfg["case"]`` as it
-    starts, so that :func:`run_all` can name a case that raises."""
-    for i in range(cases):
-        cfg["case"] = i
-        yield i
-
-
-def _fail(name: str, seed: int, case: int, message: str) -> CheckResult:
-    return CheckResult(
-        name, False, case, f"seed={seed} case={case}: {message}"
-    )
-
-
-def _check_golden_shift(name, rng, seed, cfg) -> CheckResult:
+def _check_golden_shift(rng, cfg):
     t = from_nested(GOLDEN_NESTED)
     got = vecops.shift(t)
-    want = from_nested(GOLDEN_SHIFTED)
-    if not tensors_equal(got, want):
-        return _fail(name, seed, 0, f"shift of golden tensor gave {_describe(got)}")
-    cfg["case"] = 1
+    if not tensors_equal(got, from_nested(GOLDEN_SHIFTED)):
+        yield f"shift of golden tensor gave {_describe(got)}"
+    yield None
     v = vecops.vec_k(t)
     if list(v.data) != GOLDEN_VEC:
-        return _fail(name, seed, 1, f"vec of golden tensor gave {_describe(v)}")
-    cfg["case"] = 2
+        yield f"vec of golden tensor gave {_describe(v)}"
+    yield None
     r = vecops.rvec_k(t)
     if list(r.data) != GOLDEN_RVEC:
-        return _fail(name, seed, 2, f"rvec of golden tensor gave {_describe(r)}")
-    return CheckResult(name, True, 3)
+        yield f"rvec of golden tensor gave {_describe(r)}"
+    yield None
 
 
-def _check_involution(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
-    for i in _each_case(cfg, cases):
+def _check_involution(rng, cfg):
+    for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"], min_rank=2)
         t = _random_tensor(rng, shape)
         back = vecops.shift_inverse(vecops.shift(t), shape.dims[-1])
         if not tensors_equal(back, t):
-            return _fail(
-                name, seed, i,
-                f"shift then inverse changed {_describe(t)} into {_describe(back)}",
-            )
-    return CheckResult(name, True, cases)
+            yield f"shift then inverse changed {_describe(t)} into {_describe(back)}"
+        yield None
 
 
-def _check_two_path(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
-    for i in _each_case(cfg, cases):
+def _check_two_path(rng, cfg):
+    for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         t = _random_tensor(rng, shape)
         block_path = vecops.vec_k(t)
         index_path = indexmap.vec_by_index(t)
         if not tensors_equal(block_path, index_path):
-            return _fail(
-                name, seed, i,
+            yield (
                 f"paths disagree on {_describe(t)}: block {_describe(block_path)}"
-                f" vs index {_describe(index_path)}",
+                f" vs index {_describe(index_path)}"
             )
         row_block = vecops.rvec_k(t)
         row_index = indexmap.vec_by_index(vecops.reverse_dims(t))
         if not tensors_equal(row_block, row_index):
-            return _fail(
-                name, seed, i,
+            yield (
                 f"row paths disagree on {_describe(t)}: block "
-                f"{_describe(row_block)} vs index {_describe(row_index)}",
+                f"{_describe(row_block)} vs index {_describe(row_index)}"
             )
-    return CheckResult(name, True, cases)
+        yield None
 
 
-def _check_round_trip(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
-    for i in _each_case(cfg, cases):
+def _check_round_trip(rng, cfg):
+    for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         t = _random_tensor(rng, shape)
         for label, forward, backward in (
@@ -168,17 +147,15 @@ def _check_round_trip(name, rng, seed, cfg) -> CheckResult:
         ):
             back = backward(forward(t), shape)
             if not tensors_equal(back, t):
-                return _fail(
-                    name, seed, i,
+                yield (
                     f"{label} round trip changed {_describe(t)} into "
-                    f"{_describe(back)}",
+                    f"{_describe(back)}"
                 )
-    return CheckResult(name, True, cases)
+        yield None
 
 
-def _check_index_bijection(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
-    for i in _each_case(cfg, cases):
+def _check_index_bijection(rng, cfg):
+    for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"])
         size = shape.size
         # full sweep for small shapes, seeded sample for big ones
@@ -190,61 +167,54 @@ def _check_index_bijection(name, rng, seed, cfg) -> CheckResult:
             p = indexmap.tuple_index(m, shape)
             back = indexmap.linear_index(p, shape)
             if back != m:
-                return _fail(
-                    name, seed, i,
+                yield (
                     f"index {m} of shape {list(shape.dims)} decodes to {p} "
-                    f"which encodes to {back}",
+                    f"which encodes to {back}"
                 )
             if not indexmap.decompose_check(m, shape):
-                return _fail(
-                    name, seed, i,
+                yield (
                     f"digit decomposition does not reassemble {m} for shape "
-                    f"{list(shape.dims)}",
+                    f"{list(shape.dims)}"
                 )
         if size <= 512:
             seen = {indexmap.linear_index(p, shape) for p in iter_indices(shape)}
             if seen != set(range(size)):
-                return _fail(
-                    name, seed, i,
+                yield (
                     f"linear indices of shape {list(shape.dims)} are not a "
-                    f"bijection onto 0..{size - 1}",
+                    f"bijection onto 0..{size - 1}"
                 )
-    return CheckResult(name, True, cases)
+        yield None
 
 
-def _check_collapse_witness(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
-    for i in _each_case(cfg, cases):
+def _check_collapse_witness(rng, cfg):
+    for _ in range(cfg["cases"]):
         a, b, c, d = (rng.randint(-99, 99) for _ in range(4))
         square = from_nested([[a, b], [c, d]])
         flat = from_nested([[a, c, b, d]])
         v1 = vecops.vec_k(square)
         v2 = vecops.vec_k(flat)
         if square.shape.dims == flat.shape.dims:
-            return _fail(name, seed, i, "witness shapes unexpectedly equal")
+            yield "witness shapes unexpectedly equal"
         if not tensors_equal(v1, v2):
-            return _fail(
-                name, seed, i,
+            yield (
                 f"collapse witness broke for ({a}, {b}, {c}, {d}): "
-                f"{_describe(v1)} vs {_describe(v2)}",
+                f"{_describe(v1)} vs {_describe(v2)}"
             )
-    return CheckResult(name, True, cases)
+        yield None
 
 
-def _check_identity_chain(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
+def _check_identity_chain(rng, cfg):
     hi = max(2, cfg["max_extent"])
-    for i in _each_case(cfg, cases):
+    for _ in range(cfg["cases"]):
         m, n, p, q = (rng.randint(1, hi) for _ in range(4))
         O = _random_tensor(rng, Shape((m, n)))
         P = _random_tensor(rng, Shape((n, p)))
         Q = _random_tensor(rng, Shape((p, q)))
         residual = kron2d.vec_product_identity_residual(O, P, Q)
         if residual != 0:
-            return _fail(
-                name, seed, i,
+            yield (
                 f"product identity residual {residual} for {_describe(O)}, "
-                f"{_describe(P)}, {_describe(Q)}",
+                f"{_describe(P)}, {_describe(Q)}"
             )
         # per-column chain: with a = vec(A), folding the k-th column of
         # I_N kron a must give the k-th column of A
@@ -255,49 +225,42 @@ def _check_identity_chain(name, rng, seed, cfg) -> CheckResult:
         left = kron2d.kronecker(
             kron2d.as_row(kron2d.vec2(eye)), kron2d.identity_matrix(m)
         )
+        # b_k comes from matrix_column, so A's column k is read from its rows
+        rows = to_nested(A)
         for k in range(p):
             b_k = kron2d.matrix_column(big, k)
             expect_b = kron2d.kronecker(
                 kron2d.matrix_column(eye, k), kron2d.as_column(a)
             )
             if not tensors_equal(b_k, expect_b):
-                return _fail(
-                    name, seed, i,
+                yield (
                     f"column {k} of the stacked product differs from the "
-                    f"single-column product for {_describe(A)}",
+                    f"single-column product for {_describe(A)}"
                 )
             folded = kron2d.matmul(left, b_k)
-            if not tensors_equal(folded, kron2d.matrix_column(A, k)):
-                return _fail(
-                    name, seed, i,
+            if not tensors_equal(folded, make_tensor((m, 1), [r[k] for r in rows])):
+                yield (
                     f"folding column {k} back did not recover column {k} of "
-                    f"{_describe(A)}",
+                    f"{_describe(A)}"
                 )
-    return CheckResult(name, True, cases)
+        yield None
 
 
-def _check_kron_closed_form(name, rng, seed, cfg) -> CheckResult:
-    cases = cfg["cases"]
+def _check_kron_closed_form(rng, cfg):
     hi = max(2, min(8, cfg["max_extent"] + 2))
-    for i in _each_case(cfg, cases):
+    for _ in range(cfg["cases"]):
         m = rng.randint(1, hi)
         n = rng.randint(1, hi)
         x = _random_tensor(rng, Shape((m, n)))
         a = kron2d.vec2(x)
         got = kron2d.kron_inverse_2d(a, m, n)
         if not tensors_equal(got, x):
-            return _fail(
-                name, seed, i,
-                f"closed form rebuilt {_describe(x)} as {_describe(got)}",
-            )
+            yield f"closed form rebuilt {_describe(x)} as {_describe(got)}"
         via_index = indexmap.unvec_by_index(a, (m, n))
         if not tensors_equal(got, via_index):
-            return _fail(
-                name, seed, i,
-                f"closed form disagrees with the index inverse on {_describe(x)}",
-            )
-    # the misprinted factor order is not even conformable once M != N
-    cfg["case"] = cases
+            yield f"closed form disagrees with the index inverse on {_describe(x)}"
+        yield None
+    # a last case: the misprinted factor order is not conformable once M != N
     a = make_tensor(Shape((6,)), [1, 2, 3, 4, 5, 6])
     eye3 = kron2d.identity_matrix(3)
     printed_left = kron2d.kronecker(
@@ -307,13 +270,9 @@ def _check_kron_closed_form(name, rng, seed, cfg) -> CheckResult:
     try:
         kron2d.matmul(printed_left, right)
     except ShapeError:
-        pass
+        yield None
     else:
-        return _fail(
-            name, seed, cases,
-            "misprinted factor order unexpectedly conformable for 2x3",
-        )
-    return CheckResult(name, True, cases + 1)
+        yield "misprinted factor order unexpectedly conformable for 2x3"
 
 
 _CHECKS = (
@@ -334,7 +293,7 @@ def run_all(
     max_extent: int = 3,
     cases: int = 200,
 ) -> RunReport:
-    """Run every check and collect the results.
+    """Run every check, numbering its cases, and collect the results.
 
     ``max_rank`` and ``max_extent`` bound the randomly drawn shapes
     (checks that need rank 2 enforce their own floor), ``cases`` is the
@@ -356,22 +315,25 @@ def run_all(
         (max_extent**max_rank, "tensors"),
         (max(2, max_extent) ** 4, "Kronecker factors"),
     ):
-        if size > _MAX_DRAWN_ELEMENTS:
+        if size > _MAX_BUILT_ELEMENTS:
             raise ShapeError(
                 f"max rank {max_rank} and max extent {max_extent} draw {what} "
-                f"of up to {size} elements; the limit is {_MAX_DRAWN_ELEMENTS}"
+                f"of up to {size} elements; the limit is {_MAX_BUILT_ELEMENTS}"
             )
     cfg = {"max_rank": max_rank, "max_extent": max_extent, "cases": cases}
     results = []
-    for name, fn in _CHECKS:
-        rng = random.Random(f"{seed}:{name}")
-        cfg["case"] = 0
+    for name, check in _CHECKS:
+        case, problem = 0, None
         try:
-            results.append(fn(name, rng, seed, cfg))
+            for problem in check(random.Random(f"{seed}:{name}"), cfg):
+                if problem is not None:
+                    break
+                case += 1
         except Exception as exc:
             # a fault that raises fails its check just as a wrong result does
-            message = f"{type(exc).__name__}: {exc}"[:_SHOWN_CHARS]
-            results.append(_fail(name, seed, cfg["case"], message))
+            problem = f"{type(exc).__name__}: {exc}"[:_SHOWN_CHARS]
+        detail = "" if problem is None else f"seed={seed} case={case}: {problem}"
+        results.append(CheckResult(name, problem is None, case, detail))
     return RunReport(checks=tuple(results))
 
 

@@ -249,6 +249,18 @@ def test_exit_code_bad_shape_argument(tmp_path, golden_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "shape_args", [["2xx3"], ["2x2x3", "--kron"]], ids=["unparsable", "kron-rank-3"]
+)
+def test_unvec_checks_the_shape_before_reading(monkeypatch, capsys, shape_args):
+    def no_read(path):
+        raise AssertionError("unvec read its input before checking --shape")
+
+    monkeypatch.setattr(cli, "read_tensor", no_read)
+    assert cli.main(["unvec", "big.json", "o.json", "--shape", *shape_args]) == 1
+    assert _is_one_error_line(capsys.readouterr().err)
+
+
 def test_exit_code_usage_errors(capsys):
     assert cli.main([]) == 1
     assert cli.main(["nosuch"]) == 1
@@ -311,6 +323,9 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "all 8 checks passed" in out
     assert out.count("PASS") == 8
+    # the golden example is three cases; the closed form adds its misprint case
+    assert "PASS golden-shift (3 cases)\n" in out
+    assert "PASS kron-closed-form (41 cases)\n" in out
 
 
 def test_verify_rank_two_degenerates(capsys):
@@ -365,6 +380,76 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     assert re.fullmatch(r"FAIL [\w-]+: seed=5 case=\d+: \w+Error: .+", failed[0])
     # the same seed replays the same failure
     assert run() == (2, first)
+
+
+def _on_call(n, fault):
+    """Wrap a function so that its ``n``-th call runs ``fault`` instead."""
+
+    def wrap(real):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(None)
+            return fault(real, *args) if len(calls) == n else real(*args)
+
+        return wrapped
+
+    return wrap
+
+
+def _raises(real, *args):
+    raise RuntimeError("injected")
+
+
+def _plus_one(real, *args):
+    out = real(*args)
+    return vk.make_tensor(out.shape, [v + 1 for v in vk.core.elements(out)])
+
+
+def _conformable(real):
+    # a matmul that no longer rejects mismatched inner extents
+    def matmul(x, y):
+        try:
+            return real(x, y)
+        except vk.ShapeError:
+            return x
+
+    return matmul
+
+
+@pytest.mark.parametrize(
+    "module, name, wrap, line",
+    [
+        (
+            vk.indexmap, "vec_by_index", _on_call(5, _raises),
+            "FAIL two-path-vec: seed=4 case=2: RuntimeError: injected",
+        ),
+        (
+            vecops, "vec_k", _on_call(1, _plus_one),
+            "FAIL golden-shift: seed=4 case=1: vec of golden tensor gave "
+            "shape=[12] data=[2, 8, 5, 11, 3, 9, 6, 12, 4, 10, 7, 13]",
+        ),
+        (
+            vk.kron2d, "kron_inverse_2d", _on_call(4, _plus_one),
+            "FAIL kron-closed-form: seed=4 case=3: closed form rebuilt "
+            "shape=[1, 3] data=[8, -1, 1] as shape=[1, 3] data=[9, 0, 2]",
+        ),
+        (
+            vk.kron2d, "matmul", _conformable,
+            "FAIL kron-closed-form: seed=4 case=7: misprinted factor order "
+            "unexpectedly conformable for 2x3",
+        ),
+    ],
+    ids=["raises-on-5th-call", "golden-vec", "wrong-on-4th-call", "misprint"],
+)
+def test_verify_names_the_exact_failing_case(
+    monkeypatch, capsys, module, name, wrap, line
+):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    argv = ["verify", "--seed", "4", "--cases", "7", "--max-rank", "3"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert [s for s in out.splitlines() if s.startswith("FAIL")] == [line]
 
 
 def test_verify_report_on_large_shapes_is_bounded(monkeypatch):
@@ -475,7 +560,7 @@ def test_bench_reports_a_route_that_raises(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["100000x100000x100000", str(cli._BENCH_MAX_ELEMENTS + 1)]
+    "text", ["100000x100000x100000", str(vk.core._MAX_BUILT_ELEMENTS + 1)]
 )
 def test_bench_rejects_oversized_shape(monkeypatch, capsys, text):
     def no_tensor(shape):

@@ -222,24 +222,26 @@ def test_reimports_leave_only_the_current_copy_alive():
     assert proc.stdout.strip() == "1 True"
 
 
-def _verify_mutant(tmp_path, canonical, mutant, max_rank):
-    """Run ``verify --cases 20`` on a copy of the package whose ``core.py``
+def _verify_mutant(tmp_path, canonical, mutant, max_rank, module="core.py"):
+    """Run ``verify --cases 20`` on a copy of the package whose ``module``
     has its one ``canonical`` line replaced by ``mutant``; expect exit 2
-    with a replayable ``seed=… case=…`` line."""
+    with a ``seed=… case=…`` line, and the same report again when rerun
+    with that seed."""
     copy_root = tmp_path / "src"
     shutil.copytree(
         _PACKAGE, copy_root / "veckit", ignore=shutil.ignore_patterns("__pycache__")
     )
-    core = copy_root / "veckit" / "core.py"
-    source = core.read_text(encoding="utf-8")
+    path = copy_root / "veckit" / module
+    source = path.read_text(encoding="utf-8")
     assert source.count(canonical) == 1
-    core.write_text(source.replace(canonical, mutant), encoding="utf-8")
-    proc = _python(
-        ["-m", "veckit", "verify", "--cases", "20", "--max-rank", str(max_rank)],
-        copy_root,
-    )
+    path.write_text(source.replace(canonical, mutant), encoding="utf-8")
+    args = ["-m", "veckit", "verify", "--cases", "20", "--max-rank", str(max_rank)]
+    proc = _python(args, copy_root)
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert re.search(r"^FAIL .*: seed=\d+ case=\d+: ", proc.stdout, re.MULTILINE)
+    found = re.search(r"^FAIL .*: seed=(\d+) case=\d+: ", proc.stdout, re.MULTILINE)
+    assert found
+    replay = _python([*args, "--seed", found[1]], copy_root)
+    assert (replay.returncode, replay.stdout) == (2, proc.stdout)
 
 
 _CANONICAL = "_set_ff_strides(self, tuple(strides))"
@@ -272,3 +274,15 @@ _IN_ORDER_MUTANTS = {
 def test_verify_catches_a_wrong_in_order_test(tmp_path, mutant):
     # a layout wrongly taken as in order returns the storage unpermuted
     _verify_mutant(tmp_path, _IN_ORDER_TEST, _IN_ORDER_MUTANTS[mutant], max_rank=4)
+
+
+def test_verify_catches_a_rotated_matrix_column(tmp_path):
+    # a matrix_column that returns column k + 1 fools any check that reads
+    # both sides of a comparison through it
+    _verify_mutant(
+        tmp_path,
+        "start = k * cs",
+        "start = ((k + 1) % n) * cs",
+        max_rank=4,
+        module="kron2d.py",
+    )
