@@ -164,17 +164,19 @@ def _cmd_vec(args) -> int:
 def _cmd_unvec(args) -> int:
     # the arguments first, so that a bad one is reported without reading the file
     target = _parse_shape(args.shape)
-    if args.kron and target.rank != 2:
-        raise ShapeError("--kron needs a rank-2 shape like 3x4")
+    if args.kron:
+        if target.rank != 2:
+            raise ShapeError("--kron needs a rank-2 shape like 3x4")
+        # under --row the closed form rebuilds the transpose of the target
+        m, n = target.dims[::-1] if args.row else target.dims
+        kron2d._check_closed_form_size(m, n)
     t = read_tensor(args.input)
     if t.rank != 1:
         raise ShapeError(f"unvec input must be rank 1, got rank {t.rank}")
     if args.kron:
-        m, n = target.dims
+        out = kron2d.kron_inverse_2d(t, m, n)
         if args.row:
-            out = vecops.reverse_dims(kron2d.kron_inverse_2d(t, n, m))
-        else:
-            out = kron2d.kron_inverse_2d(t, m, n)
+            out = vecops.reverse_dims(out)
     elif args.row:
         out = vecops.rvec_inverse(t, target)
     else:

@@ -306,12 +306,13 @@ def make_tensor(
 
 def elements(
     t: DenseTensor, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
-) -> list:
-    """The logical elements of ``t`` listed in the given index order."""
+) -> tuple:
+    """The logical elements of ``t`` in the given index order: :func:`gather`'s
+    tuple, which is ``t.data`` itself when the storage is in that order."""
     dims, strides = t.shape.dims, t.strides
     if order is StorageOrder.LAST_INDEX_FASTEST:
         dims, strides = dims[::-1], strides[::-1]
-    return list(gather(t.data, dims, strides))
+    return gather(t.data, dims, strides)
 
 
 def get(t: DenseTensor, idx: Sequence[int]) -> Scalar:
@@ -388,7 +389,7 @@ def from_nested(nested) -> DenseTensor:
 
 def to_nested(t: DenseTensor):
     """Inverse of :func:`from_nested`: nested lists, outermost level first."""
-    level = elements(t, StorageOrder.LAST_INDEX_FASTEST)
+    level = list(elements(t, StorageOrder.LAST_INDEX_FASTEST))
     for m in reversed(t.shape.dims[1:]):
         level = [level[i : i + m] for i in range(0, len(level), m)]
     return level

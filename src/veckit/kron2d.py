@@ -20,9 +20,8 @@ from math import isfinite
 from .core import (
     _MAX_BUILT_ELEMENTS,
     DenseTensor,
-    Shape,
     StorageOrder,
-    gather,
+    elements,
     make_tensor,
     to_nested,
     transpose,
@@ -53,14 +52,14 @@ def as_column(a: VecResult) -> Matrix2D:
     """A length-M vector as an M x 1 matrix sharing the vector's storage."""
     if a.rank != 1:
         raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    return DenseTensor(Shape((a.size, 1)), a.data, a.strides + (a.size,))
+    return make_tensor((a.size, 1), elements(a))
 
 
 def as_row(a: VecResult) -> Matrix2D:
     """A length-N vector as a 1 x N matrix sharing the vector's storage."""
     if a.rank != 1:
         raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    return DenseTensor(Shape((1, a.size)), a.data, (a.size,) + a.strides)
+    return make_tensor((1, a.size), elements(a))
 
 
 def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
@@ -69,9 +68,9 @@ def matmul(x: Matrix2D, y: Matrix2D) -> Matrix2D:
     n2, p = _dims2(y, "right factor")
     if n != n2:
         raise ShapeError(f"inner extents differ: {m}x{n} times {n2}x{p}")
-    # both factors row by row: reversed dims and strides list the last index fastest
-    xs = gather(x.data, x.shape.dims[::-1], x.strides[::-1])
-    ys = gather(y.data, y.shape.dims[::-1], y.strides[::-1])
+    # both factors row by row
+    xs = elements(x, StorageOrder.LAST_INDEX_FASTEST)
+    ys = elements(y, StorageOrder.LAST_INDEX_FASTEST)
     out = []
     for i in range(0, m * n, n):
         xrow = xs[i : i + n]
@@ -102,16 +101,22 @@ def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
     m, n = _dims2(x, "matrix")
     if not 0 <= k < n:
         raise IndexError(f"column {k} out of range for {m}x{n}")
-    rs, cs = x.strides
-    if m == 1:
-        rs = 1  # an extent-1 dim may carry any stride, even 0
-    start = k * cs
-    return make_tensor((m, 1), x.data[start : start + (m - 1) * rs + 1 : rs])
+    return make_tensor((m, 1), elements(x)[k * m : (k + 1) * m])
 
 
 def vec2(x: Matrix2D) -> VecResult:
     """Classic vectorization: vertical stacking of the columns."""
     return vec_k(x)
+
+
+def _check_closed_form_size(M: int, N: int) -> None:
+    """Refuse an M x N closed form whose factor would exceed 2^21 elements."""
+    largest = max(M * N**3, M * M * N * N)
+    if largest > _MAX_BUILT_ELEMENTS:
+        raise ShapeError(
+            f"the closed form for {M}x{N} needs a factor of {largest} elements; "
+            f"the limit is {_MAX_BUILT_ELEMENTS}"
+        )
 
 
 def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
@@ -133,12 +138,7 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
         raise ShapeError(
             f"vector of length {a.shape.size} cannot fill a {M}x{N} matrix"
         )
-    largest = max(M * N**3, M * M * N * N)
-    if largest > _MAX_BUILT_ELEMENTS:
-        raise ShapeError(
-            f"the closed form for {M}x{N} needs a factor of {largest} elements; "
-            f"the limit is {_MAX_BUILT_ELEMENTS}"
-        )
+    _check_closed_form_size(M, N)
     for i, v in enumerate(a.data):
         if isinstance(v, float) and not isfinite(v):
             raise ShapeError(

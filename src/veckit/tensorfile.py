@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 from typing import Union
 
-from .core import DenseTensor, Shape, StorageOrder, gather, make_tensor
+from .core import DenseTensor, Shape, StorageOrder, elements, make_tensor
 from .errors import FormatError, ShapeError
 
 _ORDER_TAGS = {
@@ -142,11 +142,8 @@ def write_tensor(
         )
     if t.rank > _MAX_RANK:
         raise FormatError(f"{path}: tensor has rank {t.rank}; the limit is {_MAX_RANK}")
-    dims, strides = t.shape.dims, t.strides
-    if _ORDER_TAGS[order] is StorageOrder.LAST_INDEX_FASTEST:
-        dims, strides = dims[::-1], strides[::-1]
     try:
-        flat = list(map(float, gather(t.data, dims, strides)))
+        flat = list(map(float, elements(t, _ORDER_TAGS[order])))
     except OverflowError:
         raise FormatError(f"{path}: an element is beyond the float range") from None
     # integer-valued floats print as integers, everything else as the

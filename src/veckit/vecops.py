@@ -15,7 +15,7 @@ import operator
 from itertools import accumulate
 
 from .blocking import block, transpose_outer, unblock
-from .core import DenseTensor, Shape, ShapeLike, as_shape, transpose
+from .core import DenseTensor, Shape, ShapeLike, as_shape
 from .errors import DimError, ShapeError
 
 # rank-1 DenseTensor; its length always equals the source tensor's size
@@ -110,16 +110,12 @@ def vec_inverse(a: VecResult, target: ShapeLike) -> DenseTensor:
 
 
 def reverse_dims(t: DenseTensor) -> DenseTensor:
-    """Reverse the dimension order of ``t``.
-
-    Swaps dimensions (1, k), (2, k-1), ... for k // 2 pairs; the middle
-    dimension of an odd rank stays put.  The element at the reversed index
-    tuple equals the source element at the original tuple.
-    """
-    k = t.rank
-    for i in range(k // 2):
-        t = transpose(t, i + 1, k - i)
-    return t
+    """Reverse the dimension order of ``t``, relabeling its extents and
+    strides over the same storage: the element at the reversed index tuple
+    equals the source element at the original tuple."""
+    if t.rank == 1:
+        return t
+    return DenseTensor(Shape(t.shape.dims[::-1]), t.data, t.strides[::-1])
 
 
 def rvec_k(t: DenseTensor) -> VecResult:

@@ -22,14 +22,12 @@ from .core import (
     _MAX_BUILT_ELEMENTS,
     DenseTensor,
     Shape,
-    StorageOrder,
     elements,
     from_nested,
     iter_indices,
     make_tensor,
     tensors_equal,
     to_nested,
-    transpose,
 )
 from .errors import ShapeError
 
@@ -69,12 +67,13 @@ def _random_shape(
 
 
 def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
-    # a drawn storage order seen through a drawn transpose (none if m == n)
+    # any of the rank! storage orders, drawn fastest dim first
     data = [rng.randint(-9, 9) for _ in range(shape.size)]
-    m, n = rng.randint(1, shape.rank), rng.randint(1, shape.rank)
-    dims = list(shape.dims)
-    dims[m - 1], dims[n - 1] = dims[n - 1], dims[m - 1]
-    return transpose(make_tensor(dims, data, rng.choice(list(StorageOrder))), m, n)
+    strides, step = [0] * shape.rank, 1
+    for d in rng.sample(range(shape.rank), shape.rank):
+        strides[d] = step
+        step *= shape.dims[d]
+    return DenseTensor(shape, data, strides)
 
 
 _MAX_RANK = _MAX_BUILT_ELEMENTS.bit_length() - 1  # 21: extent 2 at the limit
@@ -84,7 +83,7 @@ _SHOWN_CHARS = 300  # characters of a raised exception's message
 
 
 def _describe(t: DenseTensor) -> str:
-    shown = elements(t)[:_SHOWN]
+    shown = list(elements(t)[:_SHOWN])
     more = f" ... ({t.size} elements)" if t.size > _SHOWN else ""
     return f"shape={list(t.shape.dims)} data={shown}{more}"
 

@@ -249,16 +249,32 @@ def test_exit_code_bad_shape_argument(tmp_path, golden_file, capsys):
     capsys.readouterr()
 
 
+# the closed form for 9x64 needs a factor of 9 * 64**3 elements; under --row
+# it rebuilds the transpose, so 64x9 --row is the one refused
+_OVER_LIMIT = f"the closed form for 9x64 needs a factor of {9 * 64**3} elements"
+
+
 @pytest.mark.parametrize(
-    "shape_args", [["2xx3"], ["2x2x3", "--kron"]], ids=["unparsable", "kron-rank-3"]
+    "shape_args, message",
+    [
+        (["2xx3"], "bad shape '2xx3'"),
+        (["2x2x3", "--kron"], "--kron needs a rank-2 shape"),
+        (["9x64", "--kron"], _OVER_LIMIT),
+        (["64x9", "--kron", "--row"], _OVER_LIMIT),
+    ],
+    ids=["unparsable", "kron-rank-3", "kron-over-limit", "kron-row-over-limit"],
 )
-def test_unvec_checks_the_shape_before_reading(monkeypatch, capsys, shape_args):
+def test_unvec_checks_the_shape_before_reading(
+    monkeypatch, capsys, shape_args, message
+):
     def no_read(path):
         raise AssertionError("unvec read its input before checking --shape")
 
     monkeypatch.setattr(cli, "read_tensor", no_read)
     assert cli.main(["unvec", "big.json", "o.json", "--shape", *shape_args]) == 1
-    assert _is_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err)
+    assert message in err
 
 
 def test_exit_code_usage_errors(capsys):
@@ -432,7 +448,7 @@ def _conformable(real):
         (
             vk.kron2d, "kron_inverse_2d", _on_call(4, _plus_one),
             "FAIL kron-closed-form: seed=4 case=3: closed form rebuilt "
-            "shape=[1, 3] data=[8, -1, 1] as shape=[1, 3] data=[9, 0, 2]",
+            "shape=[1, 2] data=[-1, 9] as shape=[1, 2] data=[0, 10]",
         ),
         (
             vk.kron2d, "matmul", _conformable,

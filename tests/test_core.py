@@ -1,13 +1,15 @@
 """Tensor values: shapes, indexing, strides, elementary reshaping."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
 import veckit as vk
 from veckit import DimError, ShapeError, StorageOrder
-from veckit.core import flat_offsets, gather
+from veckit.core import elements, flat_offsets, gather
 
 from conftest import GOLDEN_NESTED
 
@@ -109,6 +111,27 @@ def test_gather_returns_an_in_order_layout_as_is():
     assert gather(listed, (1, 4), (0, 1)) is listed
     assert gather(listed, (2, 1, 2), (1, 0, 2)) is listed
     assert gather(listed, (1, 2, 1, 2, 1), (0, 1, 0, 2, 0)) is listed
+
+
+def test_elements_of_an_in_order_layout_is_the_storage():
+    t = vk.make_tensor((2, 3), range(6))
+    assert elements(t) is t.data
+    r = vk.make_tensor((2, 3), range(6), StorageOrder.LAST_INDEX_FASTEST)
+    assert elements(r, StorageOrder.LAST_INDEX_FASTEST) is r.data
+    assert elements(r) == (0, 3, 1, 4, 2, 5)
+
+
+def test_files_and_the_kronecker_oracle_leave_layout_to_core():
+    # they read tensors only through elements, so the stride rule lives in
+    # core and the two routes alone
+    package = Path(vk.__file__).resolve().parent
+    for name in ("tensorfile.py", "kron2d.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "gather" not in [alias.name for alias in node.names], name
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("gather", "strides"), name
 
 
 def test_iter_indices_first_index_fastest():

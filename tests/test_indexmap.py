@@ -153,6 +153,7 @@ def _break_block_route(monkeypatch):
     """Make every block-route helper raise, wherever a module refers to it."""
     originals = {
         core.flat_offsets,
+        core.gather,
         core.elements,
         blocking.block,
         blocking.unblock,

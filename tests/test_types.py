@@ -273,7 +273,18 @@ _IN_ORDER_MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(_IN_ORDER_MUTANTS))
 def test_verify_catches_a_wrong_in_order_test(tmp_path, mutant):
     # a layout wrongly taken as in order returns the storage unpermuted
-    _verify_mutant(tmp_path, _IN_ORDER_TEST, _IN_ORDER_MUTANTS[mutant], max_rank=4)
+    _verify_mutant(tmp_path, _IN_ORDER_TEST, _IN_ORDER_MUTANTS[mutant], max_rank=3)
+
+
+def test_verify_catches_elements_ignoring_the_order(tmp_path):
+    # matmul, kronecker and files all read through elements, so one that
+    # lists first index fastest whatever order is asked must show
+    _verify_mutant(
+        tmp_path,
+        "dims, strides = dims[::-1], strides[::-1]",
+        "dims, strides = dims, strides",
+        max_rank=4,
+    )
 
 
 def test_verify_catches_a_rotated_matrix_column(tmp_path):
@@ -281,8 +292,8 @@ def test_verify_catches_a_rotated_matrix_column(tmp_path):
     # both sides of a comparison through it
     _verify_mutant(
         tmp_path,
-        "start = k * cs",
-        "start = ((k + 1) % n) * cs",
+        "elements(x)[k * m : (k + 1) * m]",
+        "elements(x)[(k + 1) % n * m : ((k + 1) % n + 1) * m]",
         max_rank=4,
         module="kron2d.py",
     )
