@@ -118,8 +118,14 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     """
     sub, grid = bt.block_shape.dims, bt.outer_shape.dims
     shape = Shape(tuple(T * S for T, S in zip(grid, sub)))
-    # the blocks' elements end to end, each block first index fastest
-    runs = [gather(b.data, sub, b.strides) for b in bt.blocks]
+    # the blocks' elements end to end, each block first index fastest; a block
+    # that carries the canonical strides (every block ``block`` builds) is
+    # already in that order, so only strided blocks are gathered
+    canon = storage_strides(bt.block_shape)
+    runs = [
+        b.data if b.strides is canon else gather(b.data, sub, b.strides)
+        for b in bt.blocks
+    ]
     flat = tuple(chain.from_iterable(runs))
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest

@@ -4,6 +4,7 @@ import pytest
 
 import veckit as vk
 from veckit import BlockError, BlockTensor, DimError, block, transpose_outer, unblock
+from veckit.core import StorageOrder, elements
 
 from conftest import sequential
 
@@ -58,6 +59,17 @@ def test_block_rejects_non_divisible(golden):
 )
 def test_unblock_inverts_block(golden, outer):
     assert vk.tensors_equal(unblock(block(golden, outer)), golden)
+
+
+def test_unblock_gathers_strided_blocks(golden):
+    # block() gives every block its shape's own first-index-fastest strides;
+    # a grid built by hand from row-major copies takes unblock's gather path
+    bt = block(golden, (1, 1, 3))
+    row = StorageOrder.LAST_INDEX_FASTEST
+    copies = [vk.make_tensor(b.shape, elements(b, row), row) for b in bt.blocks]
+    assert {b.strides for b in copies} == {(2, 1, 1)}
+    hand = BlockTensor(bt.outer_shape, bt.block_shape, copies)
+    assert vk.tensors_equal(unblock(hand), unblock(bt))
 
 
 def test_unblock_keeps_explicit_rank():

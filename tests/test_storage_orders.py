@@ -9,7 +9,10 @@ are the same layout).  On each one both flattenings must match the index
 route, both round trips must restore the tensor, and a file written in
 either element order must read back as the same tensor.  This reaches the
 readers that take ``core.gather``'s tuple, ``unblock``, ``tensors_equal``
-and ``write_tensor``, on layouts a random draw rarely makes.
+and ``write_tensor``, on layouts a random draw rarely makes.  Each layout is
+also unblocked as a one-block grid: ``block`` only builds blocks with
+canonical strides, so only such a hand-built grid reaches ``unblock``'s
+gather of a strided block.
 """
 
 import itertools
@@ -17,7 +20,7 @@ import itertools
 import pytest
 
 import veckit as vk
-from veckit import DenseTensor, Shape, read_tensor, write_tensor
+from veckit import BlockTensor, DenseTensor, Shape, read_tensor, unblock, write_tensor
 from veckit.core import elements
 from veckit.indexmap import vec_by_index
 
@@ -62,4 +65,5 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
         for order in ("row-major", "column-major"):
             write_tensor(t, path, order)
             _same(read_tensor(path), t)
+        _same(unblock(BlockTensor(Shape((1,) * rank), t.shape, [t])), t)
     assert count == LAYOUTS[rank]
