@@ -152,47 +152,33 @@ def storage_strides(
     return strides[::-1]
 
 
-def flat_offsets(dims: Sequence[int], strides: Sequence[int]) -> Sequence[int]:
-    """Storage offset of every index of ``dims``, first index fastest.
-
-    Reverse ``dims`` and ``strides`` for last index fastest.  Extents above 1
-    need a nonzero stride.  While the leading dimensions are contiguous the
-    offsets stay a ``range``, so no list of them is built.
-    """
-    offsets = range(1)
-    for m, s in zip(dims, strides):
-        if m > 1 and isinstance(offsets, range) and s == len(offsets):
-            offsets = range(m * s)
-        elif m > 1:
-            offsets = [step + o for step in range(0, m * s, s) for o in offsets]
-    return offsets
-
-
 def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple:
-    """``data`` at every offset of :func:`flat_offsets`, copied run by run.
+    """``data`` at the offset ``sum(p_n * stride_n)`` of every index of
+    ``dims``, first index fastest, copied run by run.
 
-    The layout ``0 .. len(data)-1`` in order returns ``data``, decided by one
-    pass over the strides before anything is built.  Otherwise extent-1 dims
-    are dropped and a dim whose stride spans the dim before it is merged into
-    it; each run of the fastest remaining dim is then one extended slice.
+    One pass merges the dims into runs: extent-1 dims are skipped, and a dim
+    whose stride is its run's extent times stride continues that run.  A
+    single stride-1 run over all of ``data`` returns ``data`` itself;
+    otherwise the later runs give the base offsets of the first run, which
+    is copied from each base as one extended slice.
     """
-    n = 1
-    for m, s in zip(dims, strides):
-        if s != n and m > 1:
-            break
-        n *= m
-    else:
-        if n == len(data):
-            return data
     runs = []
+    m0 = s0 = 1
     for m, s in zip(dims, strides):
-        if runs and s == runs[-1][0] * runs[-1][1]:
-            runs[-1] = (runs[-1][0] * m, runs[-1][1])
+        if s == m0 * s0:
+            m0 *= m
         elif m > 1:
-            runs.append((m, s))
-    (m0, s0), rest = (runs or [(1, 1)])[0], runs[1:]
+            if m0 > 1:
+                runs.append((m0, s0))
+            m0, s0 = m, s
+    if not runs and s0 == 1 and m0 == len(data):
+        return data
+    runs.append((m0, s0))
+    (m0, s0), *rest = runs
     span = (m0 - 1) * s0 + 1
-    bases = flat_offsets([m for m, _ in rest], [s for _, s in rest])
+    bases = [0]
+    for m, s in rest:
+        bases = [step + b for step in range(0, m * s, s) for b in bases]
     return tuple(chain.from_iterable([data[b : b + span : s0] for b in bases]))
 
 

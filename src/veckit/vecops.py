@@ -28,9 +28,8 @@ def _append_trailing_axis(t: DenseTensor) -> DenseTensor:
 
 
 def _drop_trailing_axis(t: DenseTensor) -> DenseTensor:
-    """Remove exactly one trailing extent-1 dimension."""
-    if t.rank < 2 or t.shape.dims[-1] != 1:
-        raise ShapeError(f"no trailing extent-1 dimension in {list(t.shape.dims)}")
+    """Remove exactly one trailing extent-1 dimension; ``Shape`` and
+    ``DenseTensor`` refuse a tensor without one."""
     return DenseTensor(Shape(t.shape.dims[:-1]), t.data, t.strides[:-1])
 
 

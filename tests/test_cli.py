@@ -285,6 +285,25 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["0", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--shapes", "2x2", "--reps"],
+        ["verify", "--cases"],
+        ["shift", "in.json", "out.json", "--inverse", "--last-extent"],
+    ],
+    ids=["reps", "cases", "last-extent"],
+)
+def test_count_options_refuse_zero_and_non_integers(capsys, argv, value):
+    assert cli.main([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(value) in errors[0]
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["vec", "--help"]) == 0
@@ -525,6 +544,15 @@ def test_verify_refuses_sizes_beyond_the_limit(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("bound", ["max_rank", "max_extent", "cases"])
+def test_verify_refuses_bounds_below_one(monkeypatch, bound, value):
+    monkeypatch.setattr(verify, "_random_shape", _no_draws)
+    monkeypatch.setattr(verify, "_random_tensor", _no_draws)
+    with pytest.raises(vk.ShapeError, match=f"must be positive, got {value}$"):
+        verify.run_all(**{bound: value})
 
 
 @pytest.mark.parametrize(

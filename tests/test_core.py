@@ -3,13 +3,14 @@
 import ast
 import itertools
 import math
+import operator
 from pathlib import Path
 
 import pytest
 
 import veckit as vk
 from veckit import DimError, ShapeError, StorageOrder
-from veckit.core import elements, flat_offsets, gather
+from veckit.core import elements, gather
 
 from conftest import GOLDEN_NESTED
 
@@ -57,11 +58,14 @@ def test_storage_strides():
 
 
 def _by_offsets(data, dims, strides):
-    return tuple(data[o] for o in flat_offsets(dims, strides))
+    """``data`` at ``sum(p * s)`` for every index, first index fastest: the
+    definition of a layout, independent of how ``gather`` merges runs."""
+    indices = vk.iter_indices(dims)
+    return tuple(data[sum(map(operator.mul, idx, strides))] for idx in indices)
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2, 2), (1, 5), (4, 1), (1, 1, 1)])
-def test_gather_matches_flat_offsets_on_permuted_strides(dims):
+def test_gather_matches_offset_sums_on_permuted_strides(dims):
     data = tuple(range(100, 100 + math.prod(dims)))
     for order in itertools.permutations(range(len(dims))):
         # contiguous storage that walks the dims in ``order``, fastest first;
@@ -79,7 +83,7 @@ def test_gather_matches_flat_offsets_on_permuted_strides(dims):
 @pytest.mark.parametrize(
     "dims, outer", [((4, 6), (2, 3)), ((2, 3, 4), (2, 1, 2)), ((4, 4, 2), (4, 2, 1))]
 )
-def test_gather_matches_flat_offsets_on_block_layouts(dims, outer):
+def test_gather_matches_offset_sums_on_block_layouts(dims, outer):
     data = tuple(range(100, 100 + math.prod(dims)))
     sub = tuple(m // t for m, t in zip(dims, outer))
     n = math.prod(sub)

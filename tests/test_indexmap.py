@@ -152,7 +152,6 @@ def test_vec_by_index_returns_first_index_fastest_storage_as_is():
 def _break_block_route(monkeypatch):
     """Make every block-route helper raise, wherever a module refers to it."""
     originals = {
-        core.flat_offsets,
         core.gather,
         core.elements,
         blocking.block,

@@ -44,6 +44,13 @@ def test_as_column_and_as_row():
         as_column(identity_matrix(2))
 
 
+def test_as_row_and_the_closed_form_inverse_take_only_vectors():
+    with pytest.raises(ShapeError, match="rank-1 vector, got rank 2"):
+        as_row(identity_matrix(2))
+    with pytest.raises(ShapeError, match="rank-1 vector, got rank 2"):
+        kron_inverse_2d(identity_matrix(2), 2, 2)
+
+
 def test_matmul_known_product():
     x = vk.from_nested([[1, 2, 3], [4, 5, 6]])
     y = vk.from_nested([[7, 8], [9, 10], [11, 12]])

@@ -1,7 +1,7 @@
 """Every storage order of every small shape, checked exhaustively.
 
-``verify`` draws a row- or column-major tensor and transposes it once, which
-reaches only a few of the storage orders above rank 3.  Here every shape of
+``verify`` draws each tensor's storage order at random from every order of
+its dims, so it meets any one layout only by chance.  Here every shape of
 rank at most 4 with extents 1-3 is laid out in every order of its dims,
 fastest first, over distinct data: 728 layouts that differ as maps from
 index to offset (orders that differ only in where the extent-1 dims sit

@@ -1,5 +1,6 @@
 """The value types' contract: immutability, equality, copies, constructor errors."""
 
+import ast
 import copy
 import os
 import pickle
@@ -203,6 +204,20 @@ def test_import_loads_no_dataclass_machinery():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_package_imports_only_the_standard_library():
+    # the README promises no runtime dependencies; relative imports stay
+    # within the package
+    imported = set()
+    for path in _PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"__future__", "itertools"} <= imported
+    assert imported - sys.stdlib_module_names <= {"__future__"}
+
+
 def test_reimports_leave_only_the_current_copy_alive():
     # import afresh five times, as a benchmark set-up does, then count the
     # Shape classes that survive a collection
@@ -261,12 +276,14 @@ def test_verify_catches_wrong_cached_strides(tmp_path, mutant):
     _verify_mutant(tmp_path, _CANONICAL, _STRIDE_MUTANTS[mutant], max_rank=3)
 
 
-# gather's in-order pre-pass; dropping its ``m > 1`` guard is an equivalent
-# mutant (extent-1 layouts only take the slow path), so it is not listed
-_IN_ORDER_TEST = "if s != n and m > 1:"
+# gather's run rule, which alone decides whether a layout is in order;
+# dropping its ``m0 > 1`` guard is an equivalent mutant (the first run is
+# then one element long, a slower copy of the same elements), so it is not
+# listed
+_IN_ORDER_TEST = "if s == m0 * s0:"
 _IN_ORDER_MUTANTS = {
-    "strides-not-compared": "if False:",
-    "first-stride-only": "if s != n and m > 1 and n == 1:",
+    "strides-not-compared": "if True:",
+    "first-stride-only": "if s == m0 * s0 or m0 > 1:",
 }
 
 
@@ -274,6 +291,20 @@ _IN_ORDER_MUTANTS = {
 def test_verify_catches_a_wrong_in_order_test(tmp_path, mutant):
     # a layout wrongly taken as in order returns the storage unpermuted
     _verify_mutant(tmp_path, _IN_ORDER_TEST, _IN_ORDER_MUTANTS[mutant], max_rank=3)
+
+
+def test_verify_catches_a_grid_transpose_that_keeps_the_strides(tmp_path):
+    # transpose_outer swaps the grid extents but keeps the old strides; a
+    # shift's grid strides are all 1, so only shift_inverse, whose restored
+    # extent then steps past the grid, shows it (shift-involution and
+    # vec-roundtrip fail)
+    _verify_mutant(
+        tmp_path,
+        "strides[a], strides[b] = strides[b], strides[a]",
+        "pass",
+        max_rank=3,
+        module="blocking.py",
+    )
 
 
 def test_verify_catches_elements_ignoring_the_order(tmp_path):
