@@ -9,16 +9,15 @@ into a single tensor.  The grid itself can be transposed pairwise with
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
 
 from .core import (
     DenseTensor,
     Shape,
     ShapeLike,
     as_shape,
-    check_index,
     gather,
     storage_strides,
+    transpose,
     _read_only,
     _slot_setters,
 )
@@ -28,55 +27,47 @@ from .errors import BlockError, DimError
 class BlockTensor:
     """A grid of equally shaped blocks.
 
-    ``blocks`` is stored in first-index-fastest order of the outer grid
-    index.  Construction enforces the full invariants: block count matches
-    the outer size, every block has exactly ``block_shape``, and the outer
-    and block ranks agree.  Immutable, like the blocks it holds.
+    ``grid`` is a :class:`DenseTensor` whose elements are the blocks: its
+    shape is the outer grid and its strides place each block in its storage.
+    Construction checks that the outer and block ranks agree and that every
+    block has exactly ``block_shape``; the grid's own length check matches
+    the block count to the outer size.  Immutable, like the blocks it holds.
     """
 
-    __slots__ = ("outer_shape", "block_shape", "blocks")
+    __slots__ = ("block_shape", "grid")
 
-    def __init__(
-        self, outer_shape: Shape, block_shape: Shape, blocks: Sequence[DenseTensor]
-    ) -> None:
-        blocks = tuple(blocks)
-        if outer_shape.rank != block_shape.rank:
+    def __init__(self, block_shape: Shape, grid: DenseTensor) -> None:
+        if grid.rank != block_shape.rank:
             raise BlockError(
-                f"outer rank {outer_shape.rank} != block rank {block_shape.rank}"
+                f"outer rank {grid.rank} != block rank {block_shape.rank}"
             )
-        if len(blocks) != outer_shape.size:
-            raise BlockError(
-                f"{len(blocks)} blocks for outer grid of size {outer_shape.size}"
-            )
-        for b in blocks:
+        for b in grid.data:
             if b.shape.dims != block_shape.dims:
                 raise BlockError(
                     f"block shape {list(b.shape.dims)} differs from "
                     f"{list(block_shape.dims)}"
                 )
-        _set_outer_shape(self, outer_shape)
         _set_block_shape(self, block_shape)
-        _set_blocks(self, blocks)
+        _set_grid(self, grid)
 
     __setattr__ = __delattr__ = _read_only
 
     def __reduce__(self):
-        return BlockTensor, (self.outer_shape, self.block_shape, self.blocks)
+        return BlockTensor, (self.block_shape, self.grid)
 
     def __repr__(self) -> str:
-        return (
-            f"BlockTensor(outer_shape={self.outer_shape!r}, "
-            f"block_shape={self.block_shape!r}, blocks={self.blocks!r})"
-        )
+        return f"BlockTensor(block_shape={self.block_shape!r}, grid={self.grid!r})"
+
+    @property
+    def outer_shape(self) -> Shape:
+        return self.grid.shape
 
     def block_at(self, outer_idx) -> DenseTensor:
         """Block at the given outer grid index."""
-        idx = check_index(self.outer_shape, outer_idx)
-        strides = storage_strides(self.outer_shape)
-        return self.blocks[sum(q * s for q, s in zip(idx, strides))]
+        return self.grid.get(outer_idx)
 
 
-_set_outer_shape, _set_block_shape, _set_blocks = _slot_setters(BlockTensor)
+_set_block_shape, _set_grid = _slot_setters(BlockTensor)
 
 
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
@@ -106,7 +97,7 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
         DenseTensor(block_shape, flat[i : i + n], strides)
         for i in range(0, len(flat), n)
     ]
-    return BlockTensor(outer, block_shape, tuple(blocks))
+    return BlockTensor(block_shape, DenseTensor(outer, blocks, storage_strides(outer)))
 
 
 def unblock(bt: BlockTensor) -> DenseTensor:
@@ -116,24 +107,26 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     keeps explicit rank ``k`` even when some extents are 1; squeezing is a
     separate, caller-controlled step.
     """
-    sub, grid = bt.block_shape.dims, bt.outer_shape.dims
-    shape = Shape(tuple(T * S for T, S in zip(grid, sub)))
-    # the blocks' elements end to end, each block first index fastest; a block
-    # that carries the canonical strides (every block ``block`` builds) is
-    # already in that order, so only strided blocks are gathered
+    sub, outer = bt.block_shape.dims, bt.outer_shape.dims
+    shape = Shape(tuple(T * S for T, S in zip(outer, sub)))
+    # the blocks' elements end to end in the grid's storage order, each block
+    # first index fastest; a block that carries the canonical strides (every
+    # block ``block`` builds) is already in that order, so only strided
+    # blocks are gathered
     canon = storage_strides(bt.block_shape)
     runs = [
         b.data if b.strides is canon else gather(b.data, sub, b.strides)
-        for b in bt.blocks
+        for b in bt.grid.data
     ]
     flat = tuple(chain.from_iterable(runs))
     # result index p_n = q_n * S_n + l_n, so listing the result first index
-    # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest
+    # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest; the block at
+    # grid index q starts n times its grid storage offset into ``flat``
     n = bt.block_shape.size
-    steps = zip(storage_strides(bt.block_shape), storage_strides(bt.outer_shape))
+    steps = zip(canon, bt.grid.strides)
     data = gather(
         flat,
-        tuple(chain.from_iterable(zip(sub, grid))),
+        tuple(chain.from_iterable(zip(sub, outer))),
         tuple(chain.from_iterable((ls, gs * n) for ls, gs in steps)),
     )
     return DenseTensor(shape, data, storage_strides(shape))
@@ -142,17 +135,8 @@ def unblock(bt: BlockTensor) -> DenseTensor:
 def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     """Swap dimensions ``m`` and ``n`` (1-indexed) of the outer grid only.
 
-    Blocks travel with their grid cell; block contents are untouched.
+    Blocks travel with their grid cell; block contents are untouched.  The
+    swap relabels the grid's strides over the same block storage.
     """
-    k = bt.outer_shape.rank
-    if not 1 <= m <= k or not 1 <= n <= k:
-        raise DimError(f"dimensions ({m}, {n}) out of range for rank {k}")
-    if m == n:
-        return bt
-    a, b = m - 1, n - 1
-    dims = list(bt.outer_shape.dims)
-    strides = list(storage_strides(bt.outer_shape))
-    dims[a], dims[b] = dims[b], dims[a]
-    strides[a], strides[b] = strides[b], strides[a]
-    new_blocks = gather(bt.blocks, dims, strides)
-    return BlockTensor(Shape(tuple(dims)), bt.block_shape, new_blocks)
+    grid = transpose(bt.grid, m, n)
+    return bt if grid is bt.grid else BlockTensor(bt.block_shape, grid)

@@ -160,7 +160,8 @@ def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple
     whose stride is its run's extent times stride continues that run.  A
     single stride-1 run over all of ``data`` returns ``data`` itself;
     otherwise the later runs give the base offsets of the first run, which
-    is copied from each base as one extended slice.
+    is copied from each base as one extended slice.  A layout whose offsets
+    run past ``data`` raises :class:`ShapeError`.
     """
     runs = []
     m0 = s0 = 1
@@ -179,6 +180,11 @@ def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple
     bases = [0]
     for m, s in rest:
         bases = [step + b for step in range(0, m * s, s) for b in bases]
+    if bases[-1] + span > len(data):
+        raise ShapeError(
+            f"dims {list(dims)} with strides {list(strides)} "
+            f"run past {len(data)} elements"
+        )
     return tuple(chain.from_iterable([data[b : b + span : s0] for b in bases]))
 
 

@@ -67,8 +67,10 @@ def _random_shape(
 
 
 def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
-    # any of the rank! storage orders, drawn fastest dim first
-    data = [rng.randint(-9, 9) for _ in range(shape.size)]
+    # distinct values, so that a misplaced element always shows, in any of
+    # the rank! storage orders, drawn fastest dim first
+    n = shape.size
+    data = rng.sample(range(-n, n), n)
     strides, step = [0] * shape.rank, 1
     for d in rng.sample(range(shape.rank), shape.rank):
         strides[d] = step

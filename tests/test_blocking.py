@@ -3,8 +3,16 @@
 import pytest
 
 import veckit as vk
-from veckit import BlockError, BlockTensor, DimError, block, transpose_outer, unblock
-from veckit.core import StorageOrder, elements
+from veckit import (
+    BlockError,
+    BlockTensor,
+    DimError,
+    ShapeError,
+    block,
+    transpose_outer,
+    unblock,
+)
+from veckit.core import StorageOrder, elements, iter_indices
 
 from conftest import sequential
 
@@ -28,19 +36,16 @@ def test_block_every_dimension():
     t = sequential((2, 2))
     bt = block(t, (2, 2))
     assert bt.block_shape.dims == (1, 1)
-    # blocks are stored with the first outer index varying fastest
-    assert [b.get((0, 0)) for b in bt.blocks] == [
-        t.get((0, 0)),
-        t.get((1, 0)),
-        t.get((0, 1)),
-        t.get((1, 1)),
+    quarters = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [bt.block_at(q).get((0, 0)) for q in quarters] == [
+        t.get(q) for q in quarters
     ]
 
 
 def test_block_single_block_is_whole_tensor(golden):
     bt = block(golden, (1, 1, 1))
-    assert len(bt.blocks) == 1
-    assert vk.tensors_equal(bt.blocks[0], golden)
+    assert bt.outer_shape.size == 1
+    assert vk.tensors_equal(bt.block_at((0, 0, 0)), golden)
 
 
 def test_block_rejects_rank_mismatch(golden):
@@ -66,9 +71,12 @@ def test_unblock_gathers_strided_blocks(golden):
     # a grid built by hand from row-major copies takes unblock's gather path
     bt = block(golden, (1, 1, 3))
     row = StorageOrder.LAST_INDEX_FASTEST
-    copies = [vk.make_tensor(b.shape, elements(b, row), row) for b in bt.blocks]
+    copies = [
+        vk.make_tensor(b.shape, elements(b, row), row)
+        for b in map(bt.block_at, iter_indices(bt.outer_shape))
+    ]
     assert {b.strides for b in copies} == {(2, 1, 1)}
-    hand = BlockTensor(bt.outer_shape, bt.block_shape, copies)
+    hand = BlockTensor(bt.block_shape, vk.make_tensor(bt.outer_shape, copies))
     assert vk.tensors_equal(unblock(hand), unblock(bt))
 
 
@@ -93,6 +101,35 @@ def test_transpose_outer_then_unblock_merges(golden):
     assert [raw.get((1, j, 0)) for j in range(6)] == [7, 10, 8, 11, 9, 12]
 
 
+@pytest.mark.parametrize(
+    "outer, m, n",
+    [((2, 3, 1), 1, 2), ((2, 3, 2), 1, 3), ((2, 3, 2), 2, 3)],
+)
+def test_transpose_outer_of_wide_grid_dims_unblocks_by_index(outer, m, n):
+    # a shift only ever swaps an extent-1 grid dim; here both swapped dims
+    # are wider, so unblock must follow the transposed grid strides
+    bt = block(sequential((4, 6, 2)), outer)
+    swapped = transpose_outer(bt, m, n)
+    assert swapped.grid.data is bt.grid.data
+    assert swapped.grid.strides != vk.storage_strides(swapped.outer_shape)
+    out = unblock(swapped)
+    sub = bt.block_shape.dims
+    for p in iter_indices(out.shape):
+        q = [pi // s for pi, s in zip(p, sub)]
+        q[m - 1], q[n - 1] = q[n - 1], q[m - 1]
+        local = tuple(pi % s for pi, s in zip(p, sub))
+        assert out.get(p) == bt.block_at(tuple(q)).get(local)
+
+
+def test_unblock_follows_a_row_major_grid():
+    bt = block(sequential((4, 6, 2)), (2, 3, 2))
+    row = StorageOrder.LAST_INDEX_FASTEST
+    blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape, row)]
+    hand = BlockTensor(bt.block_shape, vk.make_tensor(bt.outer_shape, blocks, row))
+    assert hand.grid.strides == (6, 2, 1)
+    assert vk.tensors_equal(unblock(hand), unblock(bt))
+
+
 def test_transpose_outer_same_dim_is_identity(golden):
     bt = block(golden, (1, 1, 3))
     assert transpose_outer(bt, 3, 3) is bt
@@ -107,24 +144,24 @@ def test_transpose_outer_rejects_out_of_range(golden):
 
 
 def test_block_tensor_rejects_wrong_count():
+    # the grid is a tensor of blocks, so its own length check counts them
     piece = sequential((1, 1))
-    with pytest.raises(BlockError):
-        BlockTensor(vk.Shape((2, 2)), vk.Shape((1, 1)), (piece,))
+    with pytest.raises(ShapeError):
+        BlockTensor(vk.Shape((1, 1)), vk.make_tensor((2, 2), (piece,)))
 
 
 def test_block_tensor_rejects_mixed_shapes():
     with pytest.raises(BlockError):
         BlockTensor(
             vk.Shape((2,)),
-            vk.Shape((2,)),
-            (sequential((2,)), sequential((3,))),
+            vk.make_tensor((2,), (sequential((2,)), sequential((3,)))),
         )
 
 
 def test_block_tensor_rejects_rank_mismatch():
     piece = sequential((2,))
     with pytest.raises(BlockError):
-        BlockTensor(vk.Shape((1, 1)), vk.Shape((2,)), (piece,))
+        BlockTensor(vk.Shape((2,)), vk.make_tensor((1, 1), (piece,)))
 
 
 def test_block_at_rejects_bad_index(golden):

@@ -467,7 +467,10 @@ def _conformable(real):
         (
             vk.kron2d, "kron_inverse_2d", _on_call(4, _plus_one),
             "FAIL kron-closed-form: seed=4 case=3: closed form rebuilt "
-            "shape=[1, 2] data=[-1, 9] as shape=[1, 2] data=[0, 10]",
+            "shape=[4, 5] data=[-19, 6, 11, -14, 19, -5, -4, -17, -12, -1, 1, "
+            "-15, 15, 17, -3, 3] ... (20 elements) as shape=[4, 5] data=[-18, "
+            "7, 12, -13, 20, -4, -3, -16, -11, 0, 2, -14, 16, 18, -2, 4] ... "
+            "(20 elements)",
         ),
         (
             vk.kron2d, "matmul", _conformable,

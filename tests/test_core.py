@@ -117,6 +117,27 @@ def test_gather_returns_an_in_order_layout_as_is():
     assert gather(listed, (1, 2, 1, 2, 1), (0, 1, 0, 2, 0)) is listed
 
 
+@pytest.mark.parametrize(
+    "dims, strides",
+    [
+        ((2,), (3,)),
+        ((3,), (2,)),
+        ((4,), (1,)),
+        ((2, 2), (1, 2)),
+        ((3, 2), (1, 1)),
+        ((2, 2), (2, 1)),
+    ],
+)
+def test_gather_refuses_a_layout_that_runs_past_the_data(dims, strides):
+    # an extended slice would cut the copy short without an error; (3,)
+    # with stride 2 is as long as the data but is not the data in order
+    with pytest.raises(ShapeError) as info:
+        gather((1, 2, 3), dims, strides)
+    assert str(info.value) == (
+        f"dims {list(dims)} with strides {list(strides)} run past 3 elements"
+    )
+
+
 def test_elements_of_an_in_order_layout_is_the_storage():
     t = vk.make_tensor((2, 3), range(6))
     assert elements(t) is t.data

@@ -16,13 +16,15 @@ exceed the ceilings below:
   so a call here would list a whole tensor the route never needs listed.
 
 The ceilings are today's counts.  Lowering them is the aim of the
-strided-grid work; a change that raises one says so.  Gathers are three per
-shift, k - 1 shifts per op: one in ``block``, one in ``transpose_outer`` and
-one in ``unblock``, which reads the canonical blocks ``block`` builds as
-they are.  Tensors are still one per block.  The shapes are 16^3 and 4^6,
-4,096 elements each, so the module runs in well under a second; 64^3 and
-8^6, of the same ranks, take several seconds and also make 6 and 15 gather
-calls per op, with the same copying counts.
+strided-grid work; a change that raises one says so.  Gathers are two per
+shift, k - 1 shifts per op: one in ``block`` and one in ``unblock``, which
+reads the canonical blocks ``block`` builds as they are;
+``transpose_outer`` relabels the grid's strides and gathers nothing.
+Tensors are still one per block, plus two per shift that hold the grid:
+``block``'s and the transposed one.  The shapes are 16^3 and 4^6, 4,096
+elements each, so the module runs in well under a second; 64^3 and 8^6, of
+the same ranks, take several seconds and also make 4 and 10 gather calls
+per op, with the same copying counts.
 
 Two copies per shift are not counted, because no gather makes them:
 ``block``'s per-block slices of its one gather, and ``unblock``'s
@@ -43,16 +45,16 @@ COLUMN = StorageOrder.FIRST_INDEX_FASTEST
 SIZE = 4096
 
 # (shape, op) -> (gather calls, tensors built); both storage orders.
-# Gathers are 3 * (k - 1): 6 at rank 3, 15 at rank 6
+# Gathers are 2 * (k - 1): 4 at rank 3, 10 at rank 6
 GATHERS_AND_TENSORS = {
-    ((16, 16, 16), "vec_k"): (6, 276),
-    ((16, 16, 16), "rvec_k"): (6, 277),
-    ((16, 16, 16), "vec_inverse"): (6, 276),
-    ((16, 16, 16), "rvec_inverse"): (6, 277),
-    ((4,) * 6, "vec_k"): (15, 1374),
-    ((4,) * 6, "rvec_k"): (15, 1375),
-    ((4,) * 6, "vec_inverse"): (15, 1374),
-    ((4,) * 6, "rvec_inverse"): (15, 1375),
+    ((16, 16, 16), "vec_k"): (4, 280),
+    ((16, 16, 16), "rvec_k"): (4, 281),
+    ((16, 16, 16), "vec_inverse"): (4, 280),
+    ((16, 16, 16), "rvec_inverse"): (4, 281),
+    ((4,) * 6, "vec_k"): (10, 1384),
+    ((4,) * 6, "rvec_k"): (10, 1385),
+    ((4,) * 6, "vec_inverse"): (10, 1384),
+    ((4,) * 6, "rvec_inverse"): (10, 1385),
 }
 
 # the one gather that copies, of the whole tensor once: the flattening whose

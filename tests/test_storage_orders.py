@@ -65,5 +65,5 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
         for order in ("row-major", "column-major"):
             write_tensor(t, path, order)
             _same(read_tensor(path), t)
-        _same(unblock(BlockTensor(Shape((1,) * rank), t.shape, [t])), t)
+        _same(unblock(BlockTensor(t.shape, vk.make_tensor((1,) * rank, [t]))), t)
     assert count == LAYOUTS[rank]

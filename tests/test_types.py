@@ -47,10 +47,10 @@ def _same(a, b):
         return a.strides == b.strides and vk.tensors_equal(a, b)
     if isinstance(a, BlockTensor):
         return (
-            a.outer_shape == b.outer_shape
-            and a.block_shape == b.block_shape
-            and len(a.blocks) == len(b.blocks)
-            and all(map(_same, a.blocks, b.blocks))
+            a.block_shape == b.block_shape
+            and a.grid.shape == b.grid.shape
+            and a.grid.strides == b.grid.strides
+            and all(map(_same, a.grid.data, b.grid.data))
         )
     return a == b
 
@@ -74,7 +74,7 @@ def _immutables():
     return [
         (vk.Shape((2, 3)), ("dims", "size", "_strides")),
         (t, ("shape", "data", "strides")),
-        (vk.block(t, (1, 1, 2)), ("outer_shape", "block_shape", "blocks")),
+        (vk.block(t, (1, 1, 2)), ("block_shape", "grid")),
     ]
 
 
@@ -92,9 +92,9 @@ def test_values_are_immutable(value, names):
 def test_reprs_list_their_fields():
     bt = vk.block(vk.make_tensor((2, 2), range(4)), (2, 1))
     assert repr(bt) == (
-        "BlockTensor(outer_shape=Shape([2, 1]), block_shape=Shape([1, 2]), "
-        "blocks=(DenseTensor(shape=[1, 2], strides=[1, 1], data=[0, 2]), "
-        "DenseTensor(shape=[1, 2], strides=[1, 1], data=[1, 3])))"
+        "BlockTensor(block_shape=Shape([1, 2]), grid=DenseTensor(shape=[2, 1], "
+        "strides=[1, 2], data=[DenseTensor(shape=[1, 2], strides=[1, 1], "
+        "data=[0, 2]), DenseTensor(shape=[1, 2], strides=[1, 1], data=[1, 3])]))"
     )
     assert repr(verify.CheckResult("golden-shift", True, 3)) == (
         "CheckResult(name='golden-shift', passed=True, cases=3, detail='')"
@@ -294,16 +294,14 @@ def test_verify_catches_a_wrong_in_order_test(tmp_path, mutant):
 
 
 def test_verify_catches_a_grid_transpose_that_keeps_the_strides(tmp_path):
-    # transpose_outer swaps the grid extents but keeps the old strides; a
-    # shift's grid strides are all 1, so only shift_inverse, whose restored
-    # extent then steps past the grid, shows it (shift-involution and
-    # vec-roundtrip fail)
+    # transpose_outer is core.transpose on the grid; a transpose that swaps
+    # the extents but keeps the old strides must show
     _verify_mutant(
         tmp_path,
         "strides[a], strides[b] = strides[b], strides[a]",
         "pass",
         max_rank=3,
-        module="blocking.py",
+        module="core.py",
     )
 
 
