@@ -1,14 +1,15 @@
 """Partition a tensor into a grid of equally shaped blocks, and back.
 
 ``block`` cuts a tensor along every axis into contiguous, axis-aligned
-sub-tensors of identical shape; ``unblock`` concatenates such a grid back
-into a single tensor.  The grid itself can be transposed pairwise with
-``transpose_outer``, which is what the shifting operation builds on.
+sub-tensors of identical shape, each a view of one shared storage;
+``unblock`` concatenates such a grid back into a single tensor.  The grid
+itself can be transposed pairwise with ``transpose_outer``, which is what
+the shifting operation builds on.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count
 
 from .core import (
     DenseTensor,
@@ -41,7 +42,7 @@ class BlockTensor:
             raise BlockError(
                 f"outer rank {grid.rank} != block rank {block_shape.rank}"
             )
-        for b in grid.data:
+        for b in _blocks(grid):
             if b.shape.dims != block_shape.dims:
                 raise BlockError(
                     f"block shape {list(b.shape.dims)} differs from "
@@ -70,6 +71,12 @@ class BlockTensor:
 _set_block_shape, _set_grid = _slot_setters(BlockTensor)
 
 
+def _blocks(grid: DenseTensor) -> tuple:
+    """The grid's blocks in its storage order: its own window of storage."""
+    start = grid.offset
+    return grid.data[start : start + grid.size]
+
+
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
     """Partition ``t`` into an ``outer``-shaped grid of equal blocks.
 
@@ -88,14 +95,16 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
     block_shape = Shape(tuple(sub))
 
     # one gather over the source: block-local indices vary fastest, then the
-    # grid index, whose step along dimension n is (M_n/T_n) * stride_n
+    # grid index, whose step along dimension n is (M_n/T_n) * stride_n; each
+    # block is a view of that one storage, n elements after the one before
     grid_strides = tuple(sn * st for sn, st in zip(sub, t.strides))
-    flat = gather(t.data, block_shape.dims + outer.dims, t.strides + grid_strides)
-    n = block_shape.size
+    flat = gather(
+        t.data, block_shape.dims + outer.dims, t.strides + grid_strides, t.offset
+    )
     strides = storage_strides(block_shape)
     blocks = [
-        DenseTensor(block_shape, flat[i : i + n], strides)
-        for i in range(0, len(flat), n)
+        DenseTensor(block_shape, flat, strides, i)
+        for i in range(0, len(flat), block_shape.size)
     ]
     return BlockTensor(block_shape, DenseTensor(outer, blocks, storage_strides(outer)))
 
@@ -110,24 +119,29 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     sub, outer = bt.block_shape.dims, bt.outer_shape.dims
     shape = Shape(tuple(T * S for T, S in zip(outer, sub)))
     # the blocks' elements end to end in the grid's storage order, each block
-    # first index fastest; a block that carries the canonical strides (every
-    # block ``block`` builds) is already in that order, so only strided
-    # blocks are gathered
+    # first index fastest.  When the blocks are canonical views of one
+    # storage at offsets 0, n, 2n, ... (every grid ``block`` builds) and that
+    # storage holds nothing else, it is that concatenation already: gather's
+    # in-order rule, one level up.  Any other grid is concatenated.
     canon = storage_strides(bt.block_shape)
-    runs = [
-        b.data if b.strides is canon else gather(b.data, sub, b.strides)
-        for b in bt.grid.data
-    ]
-    flat = tuple(chain.from_iterable(runs))
+    n = bt.block_shape.size
+    blocks = _blocks(bt.grid)
+    flat = blocks[0].data
+    if len(flat) != n * len(blocks) or any(
+        b.data is not flat or b.strides is not canon or b.offset != i
+        for b, i in zip(blocks, count(0, n))
+    ):
+        runs = [gather(b.data, sub, b.strides, b.offset) for b in blocks]
+        flat = tuple(chain.from_iterable(runs))
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest; the block at
     # grid index q starts n times its grid storage offset into ``flat``
-    n = bt.block_shape.size
     steps = zip(canon, bt.grid.strides)
     data = gather(
         flat,
         tuple(chain.from_iterable(zip(sub, outer))),
         tuple(chain.from_iterable((ls, gs * n) for ls, gs in steps)),
+        0,
     )
     return DenseTensor(shape, data, storage_strides(shape))
 
@@ -139,4 +153,11 @@ def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     swap relabels the grid's strides over the same block storage.
     """
     grid = transpose(bt.grid, m, n)
-    return bt if grid is bt.grid else BlockTensor(bt.block_shape, grid)
+    if grid is bt.grid:
+        return bt
+    # the very blocks ``bt``'s construction checked, so they are not checked
+    # again; ``transpose`` has checked the grid's new strides
+    out = BlockTensor.__new__(BlockTensor)
+    _set_block_shape(out, bt.block_shape)
+    _set_grid(out, grid)
+    return out

@@ -1,12 +1,14 @@
 """Dense k-dimensional tensor values and their elementary operations.
 
 A :class:`DenseTensor` couples a :class:`Shape` with a flat tuple of scalar
-elements and one stride per dimension: the element at ``(p_1, ..., p_k)``
-sits at storage offset ``sum(p_n * stride_n)``.  Strides are the only layout
-fact.  Every operation in this package is defined purely in terms of
-``(shape, index)`` lookups, so two tensors that hold the same logical
-elements behave identically no matter how either one is stored, and a
-dimension permutation is a relabeling of strides over the same storage.
+elements, one stride per dimension and a start offset: the element at
+``(p_1, ..., p_k)`` sits at storage position ``offset + sum(p_n * stride_n)``.
+Strides and offset are the only layout facts.  Every operation in this
+package is defined purely in terms of ``(shape, index)`` lookups, so two
+tensors that hold the same logical elements behave identically no matter
+how either one is stored, a dimension permutation is a relabeling of
+strides over the same storage, and a block of a tensor is a view of one
+storage at its own offset.
 
 Conventions used throughout the package:
 
@@ -152,16 +154,19 @@ def storage_strides(
     return strides[::-1]
 
 
-def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple:
-    """``data`` at the offset ``sum(p_n * stride_n)`` of every index of
+def gather(
+    data: Sequence, dims: Sequence[int], strides: Sequence[int], offset: int
+) -> tuple:
+    """``data`` at ``offset + sum(p_n * stride_n)`` for every index of
     ``dims``, first index fastest, copied run by run.
 
     One pass merges the dims into runs: extent-1 dims are skipped, and a dim
     whose stride is its run's extent times stride continues that run.  A
-    single stride-1 run over all of ``data`` returns ``data`` itself;
-    otherwise the later runs give the base offsets of the first run, which
-    is copied from each base as one extended slice.  A layout whose offsets
-    run past ``data`` raises :class:`ShapeError`.
+    single stride-1 run from offset 0 over all of ``data`` returns ``data``
+    itself; otherwise the later runs give the base offsets of the first run,
+    starting at ``offset``, and the first run is copied from each base as
+    one extended slice.  A layout whose positions run past ``data`` raises
+    :class:`ShapeError`.
     """
     runs = []
     m0 = s0 = 1
@@ -172,12 +177,12 @@ def gather(data: Sequence, dims: Sequence[int], strides: Sequence[int]) -> tuple
             if m0 > 1:
                 runs.append((m0, s0))
             m0, s0 = m, s
-    if not runs and s0 == 1 and m0 == len(data):
+    if not runs and s0 == 1 and m0 == len(data) and offset == 0:
         return data
     runs.append((m0, s0))
     (m0, s0), *rest = runs
     span = (m0 - 1) * s0 + 1
-    bases = [0]
+    bases = [offset]
     for m, s in rest:
         bases = [step + b for step in range(0, m * s, s) for b in bases]
     if bases[-1] + span > len(data):
@@ -212,23 +217,42 @@ def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
 
 
 class DenseTensor:
-    """Immutable dense tensor: shape, flat scalar storage, per-dimension strides.
+    """Immutable dense tensor: shape, flat scalar storage, per-dimension
+    strides and a start offset into the storage.
 
-    The strides must map the indices one to one onto ``0 .. size-1``;
-    extent-1 dimensions may carry any stride.  Compare with
+    The strides must map the indices one to one onto ``0 .. size-1``, which
+    the offset moves to ``offset .. offset+size-1``; extent-1 dimensions may
+    carry any stride.  Built without an offset, the storage must hold
+    exactly ``size`` elements; with one, the tensor is a view of any storage
+    long enough, and several views may share one storage.  Compare with
     :func:`tensors_equal`, which looks only at shapes and co-indexed elements.
     """
 
-    __slots__ = ("shape", "data", "strides")
+    __slots__ = ("shape", "data", "strides", "offset")
 
-    def __init__(self, shape: Shape, data: Sequence, strides: Sequence[int]) -> None:
+    def __init__(
+        self,
+        shape: Shape,
+        data: Sequence,
+        strides: Sequence[int],
+        offset: int | None = None,
+    ) -> None:
         data = tuple(data)
         strides = tuple(strides)
         dims = shape.dims
-        if len(data) != shape.size:
+        if offset is None:
+            if len(data) != shape.size:
+                raise ShapeError(
+                    f"data length {len(data)} does not match "
+                    f"shape {list(dims)} (size {shape.size})"
+                )
+            offset = 0
+        elif type(offset) is not int or offset < 0:
+            raise ShapeError(f"offset {offset!r} is not a non-negative integer")
+        elif offset + shape.size > len(data):
             raise ShapeError(
-                f"data length {len(data)} does not match "
-                f"shape {list(dims)} (size {shape.size})"
+                f"offset {offset} and shape {list(dims)} (size {shape.size}) "
+                f"run past {len(data)} elements"
             )
         # the shape's own first-index-fastest tuple tiles by construction;
         # identity, not equality, since (1.0, 2) == (1, 2)
@@ -252,11 +276,12 @@ class DenseTensor:
         _set_shape(self, shape)
         _set_data(self, data)
         _set_strides(self, strides)
+        _set_offset(self, offset)
 
     __setattr__ = __delattr__ = _read_only
 
     def __reduce__(self):
-        return DenseTensor, (self.shape, self.data, self.strides)
+        return DenseTensor, (self.shape, self.data, self.strides, self.offset)
 
     @property
     def rank(self) -> int:
@@ -269,21 +294,23 @@ class DenseTensor:
     def get(self, idx: Sequence[int]) -> Scalar:
         """Element at the 0-indexed multi-index ``idx``."""
         idx = check_index(self.shape, idx)
-        return self.data[sum(map(operator.mul, idx, self.strides))]
+        return self.data[self.offset + sum(map(operator.mul, idx, self.strides))]
 
     def __getitem__(self, idx: Sequence[int]) -> Scalar:
         return self.get(idx)
 
     def __repr__(self) -> str:
-        preview = list(self.data[:8])
-        suffix = ", ..." if len(self.data) > 8 else ""
+        # the view's own elements of the storage, as they are stored
+        start = self.offset
+        preview = list(self.data[start : start + min(self.size, 8)])
+        suffix = ", ..." if self.size > 8 else ""
         return (
             f"DenseTensor(shape={list(self.shape.dims)}, "
             f"strides={list(self.strides)}, data={preview}{suffix})"
         )
 
 
-_set_shape, _set_data, _set_strides = _slot_setters(DenseTensor)
+_set_shape, _set_data, _set_strides, _set_offset = _slot_setters(DenseTensor)
 
 
 def make_tensor(
@@ -300,11 +327,12 @@ def elements(
     t: DenseTensor, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
 ) -> tuple:
     """The logical elements of ``t`` in the given index order: :func:`gather`'s
-    tuple, which is ``t.data`` itself when the storage is in that order."""
+    tuple, which is ``t.data`` itself when the storage is exactly those
+    elements in that order."""
     dims, strides = t.shape.dims, t.strides
     if order is StorageOrder.LAST_INDEX_FASTEST:
         dims, strides = dims[::-1], strides[::-1]
-    return gather(t.data, dims, strides)
+    return gather(t.data, dims, strides, t.offset)
 
 
 def get(t: DenseTensor, idx: Sequence[int]) -> Scalar:
@@ -327,7 +355,7 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     dims, strides = list(t.shape.dims), list(t.strides)
     dims[a], dims[b] = dims[b], dims[a]
     strides[a], strides[b] = strides[b], strides[a]
-    return DenseTensor(Shape(tuple(dims)), t.data, tuple(strides))
+    return DenseTensor(Shape(tuple(dims)), t.data, tuple(strides), t.offset)
 
 
 def squeeze_trailing(t: DenseTensor) -> DenseTensor:
@@ -341,7 +369,7 @@ def squeeze_trailing(t: DenseTensor) -> DenseTensor:
         dims.pop()
     if len(dims) == t.rank:
         return t
-    return DenseTensor(Shape(tuple(dims)), t.data, t.strides[: len(dims)])
+    return DenseTensor(Shape(tuple(dims)), t.data, t.strides[: len(dims)], t.offset)
 
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:
@@ -349,7 +377,8 @@ def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:
     dims = a.shape.dims
     if b.shape.dims != dims:
         return False
-    xs, ys = gather(a.data, dims, a.strides), gather(b.data, dims, b.strides)
+    xs = gather(a.data, dims, a.strides, a.offset)
+    ys = gather(b.data, dims, b.strides, b.offset)
     # element by element: tuple == would let a NaN equal itself by identity
     return all(map(operator.eq, xs, ys))
 

@@ -74,15 +74,16 @@ def vec_by_index(t: DenseTensor) -> DenseTensor:
     """Vectorize by direct index arithmetic: output[linear_index(p)] = t[p].
 
     Output position ``m`` holds the element whose digits are
-    ``p_l = (m // s_l) % M_l`` with ``s = index_strides(shape)``; its storage
-    offset is ``sum(p_l * t.strides[l])``.  Positions that differ only in
-    ``p_1`` are consecutive, so each run of them is one extended slice of
-    storage starting at the offset of its higher digits.  Those offsets are
-    built one digit at a time: the list for digits ``2 .. l`` is repeated
-    once per value ``p`` of digit ``l + 1``, shifted by ``p`` times its
-    stride.  When every stride equals its ``s_l`` the offset is ``m`` itself,
-    and the result shares ``t``'s storage.  Same result as the shift-based
-    fold, computed without any block or transpose machinery.
+    ``p_l = (m // s_l) % M_l`` with ``s = index_strides(shape)``; it sits at
+    ``t.offset + sum(p_l * t.strides[l])`` in storage.  Positions that
+    differ only in ``p_1`` are consecutive, so each run of them is one
+    extended slice of storage starting at the offset of its higher digits.
+    Those offsets are built one digit at a time, from ``t.offset``: the list
+    for digits ``2 .. l`` is repeated once per value ``p`` of digit
+    ``l + 1``, shifted by ``p`` times its stride.  When every stride equals
+    its ``s_l`` the element sits at ``t.offset + m``, and the result is a
+    view of ``t``'s storage.  Same result as the shift-based fold, computed
+    without any block or transpose machinery.
     """
     shape = t.shape
     vector = Shape((shape.size,))
@@ -93,9 +94,9 @@ def vec_by_index(t: DenseTensor) -> DenseTensor:
         if m > 1
     ]
     if all(stride == s for _, stride, s in digits):
-        return DenseTensor(vector, t.data, (1,))
+        return DenseTensor(vector, t.data, (1,), t.offset)
     (m1, stride1, _), higher = digits[0], digits[1:]
-    offsets = [0]
+    offsets = [t.offset]
     for m, stride, _ in higher:
         n = len(offsets)
         for p in range(1, m):
@@ -111,8 +112,8 @@ def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:
 
     The element at index ``p`` sits at linear position
     ``sum(p_l * s_l)`` with ``s = index_strides(target)``, so those are the
-    strides of the result over the vector's own storage; inverse of
-    :func:`vec_by_index`.
+    strides of the result over the vector's own storage, from its offset;
+    inverse of :func:`vec_by_index`.
     """
     target = as_shape(target)
     if a.rank != 1:
@@ -123,4 +124,4 @@ def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:
             f"{list(target.dims)} of size {target.size}"
         )
     # a rank-1 tensor's data is always in logical order
-    return DenseTensor(target, a.data, index_strides(target))
+    return DenseTensor(target, a.data, index_strides(target), a.offset)

@@ -139,7 +139,7 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
             f"vector of length {a.shape.size} cannot fill a {M}x{N} matrix"
         )
     _check_closed_form_size(M, N)
-    for i, v in enumerate(a.data):
+    for i, v in enumerate(elements(a)):
         if isinstance(v, float) and not isfinite(v):
             raise ShapeError(
                 f"element {i} of the vector is {v}; the closed form needs "
@@ -161,4 +161,4 @@ def vec_product_identity_residual(
     """
     lhs = vec2(matmul(matmul(O, P), Q))
     rhs = vec2(matmul(kronecker(transpose(Q, 1, 2), O), as_column(vec2(P))))
-    return max(abs(lv - rv) for lv, rv in zip(lhs.data, rhs.data))
+    return max(abs(lv - rv) for lv, rv in zip(elements(lhs), elements(rhs)))

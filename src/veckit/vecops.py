@@ -24,13 +24,14 @@ VecResult = DenseTensor
 
 def _append_trailing_axis(t: DenseTensor) -> DenseTensor:
     """Add a trailing extent-1 dimension; the storage is shared."""
-    return DenseTensor(Shape(t.shape.dims + (1,)), t.data, t.strides + (t.size,))
+    dims, strides = t.shape.dims + (1,), t.strides + (t.size,)
+    return DenseTensor(Shape(dims), t.data, strides, t.offset)
 
 
 def _drop_trailing_axis(t: DenseTensor) -> DenseTensor:
     """Remove exactly one trailing extent-1 dimension; ``Shape`` and
     ``DenseTensor`` refuse a tensor without one."""
-    return DenseTensor(Shape(t.shape.dims[:-1]), t.data, t.strides[:-1])
+    return DenseTensor(Shape(t.shape.dims[:-1]), t.data, t.strides[:-1], t.offset)
 
 
 def shift(t: DenseTensor) -> DenseTensor:
@@ -114,7 +115,7 @@ def reverse_dims(t: DenseTensor) -> DenseTensor:
     equals the source element at the original tuple."""
     if t.rank == 1:
         return t
-    return DenseTensor(Shape(t.shape.dims[::-1]), t.data, t.strides[::-1])
+    return DenseTensor(Shape(t.shape.dims[::-1]), t.data, t.strides[::-1], t.offset)
 
 
 def rvec_k(t: DenseTensor) -> VecResult:

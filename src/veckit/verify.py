@@ -68,14 +68,20 @@ def _random_shape(
 
 def _random_tensor(rng: random.Random, shape: Shape) -> DenseTensor:
     # distinct values, so that a misplaced element always shows, in any of
-    # the rank! storage orders, drawn fastest dim first
+    # the rank! storage orders, drawn fastest dim first; the tensor is a
+    # view at a seeded offset into storage twice its size, whose filler
+    # values (n and up) are distinct from the tensor's (below n), so a
+    # reader that misses the offset, or takes the whole storage for the
+    # tensor, reads a value the tensor lacks
     n = shape.size
-    data = rng.sample(range(-n, n), n)
+    offset = rng.randint(0, n)
+    values = rng.sample(range(-n, n), n)
+    data = [*range(n, n + offset), *values, *range(n + offset, 2 * n)]
     strides, step = [0] * shape.rank, 1
     for d in rng.sample(range(shape.rank), shape.rank):
         strides[d] = step
         step *= shape.dims[d]
-    return DenseTensor(shape, data, strides)
+    return DenseTensor(shape, data, strides, offset)
 
 
 _MAX_RANK = _MAX_BUILT_ELEMENTS.bit_length() - 1  # 21: extent 2 at the limit
@@ -97,11 +103,11 @@ def _check_golden_shift(rng, cfg):
         yield f"shift of golden tensor gave {_describe(got)}"
     yield None
     v = vecops.vec_k(t)
-    if list(v.data) != GOLDEN_VEC:
+    if list(elements(v)) != GOLDEN_VEC:
         yield f"vec of golden tensor gave {_describe(v)}"
     yield None
     r = vecops.rvec_k(t)
-    if list(r.data) != GOLDEN_RVEC:
+    if list(elements(r)) != GOLDEN_RVEC:
         yield f"rvec of golden tensor gave {_describe(r)}"
     yield None
 

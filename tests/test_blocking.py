@@ -143,6 +143,39 @@ def test_transpose_outer_rejects_out_of_range(golden):
         transpose_outer(bt, 1, 4)
 
 
+def test_unblock_concatenates_views_listed_out_of_offset_order():
+    # canonical views of one storage, but not at offsets 0, n, 2n, ... in
+    # grid storage order: ``block`` never builds such a grid, so only this
+    # test sees an unblock that takes the storage as the concatenation
+    for dims in ((3,), (3, 2)):
+        s = vk.Shape(dims)
+        n = s.size
+        data = tuple(range(2 * n))
+        views = [vk.DenseTensor(s, data, vk.storage_strides(s), o) for o in (n, 0)]
+        grid = vk.make_tensor((2,) + (1,) * (len(dims) - 1), views)
+        got = unblock(BlockTensor(s, grid))
+        for p in iter_indices(got.shape):
+            q, l = p[0] // dims[0], (p[0] % dims[0],) + p[1:]
+            assert got.get(p) == views[q].get(l)
+    # a grid that is itself a view: only its own window holds blocks
+    s = vk.Shape((2,))
+    b0, b1 = (vk.make_tensor(s, pair) for pair in ((1, 2), (3, 4)))
+    grid = vk.DenseTensor(vk.Shape((2,)), (None, b0, b1, None), (1,), 1)
+    assert elements(unblock(BlockTensor(s, grid))) == (1, 2, 3, 4)
+
+
+def test_block_hands_out_views_of_one_storage():
+    t = sequential((2, 3, 4))
+    bt = block(t, (2, 1, 2))
+    blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
+    assert [b.offset for b in blocks] == [0, 6, 12, 18]
+    assert all(b.data is blocks[0].data for b in blocks)
+    # t is first index fastest and the grid walks its blocks in order, so
+    # the one storage is t's own
+    whole = block(t, (1, 1, 2))
+    assert whole.block_at((0, 0, 1)).data is t.data
+
+
 def test_block_tensor_rejects_wrong_count():
     # the grid is a tensor of blocks, so its own length check counts them
     piece = sequential((1, 1))

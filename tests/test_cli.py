@@ -396,11 +396,11 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     def run():
         calls = []
 
-        def dropping(data, dims, strides):
+        def dropping(data, dims, strides, offset):
             # the 50th gather loses its last element; the tensor built
             # from it then raises inside a check
             calls.append(None)
-            out = real(data, dims, strides)
+            out = real(data, dims, strides, offset)
             return out[:-1] if len(calls) == 50 else out
 
         monkeypatch.setattr(blocking, "gather", dropping)
@@ -467,9 +467,9 @@ def _conformable(real):
         (
             vk.kron2d, "kron_inverse_2d", _on_call(4, _plus_one),
             "FAIL kron-closed-form: seed=4 case=3: closed form rebuilt "
-            "shape=[4, 5] data=[-19, 6, 11, -14, 19, -5, -4, -17, -12, -1, 1, "
-            "-15, 15, 17, -3, 3] ... (20 elements) as shape=[4, 5] data=[-18, "
-            "7, 12, -13, 20, -4, -3, -16, -11, 0, 2, -14, 16, 18, -2, 4] ... "
+            "shape=[4, 5] data=[6, -4, 7, 8, 11, -17, 12, 0, -14, -12, 19, 18, "
+            "-19, -10, -3, 14] ... (20 elements) as shape=[4, 5] data=[7, -3, "
+            "8, 9, 12, -16, 13, 1, -13, -11, 20, 19, -18, -9, -2, 15] ... "
             "(20 elements)",
         ),
         (

@@ -57,16 +57,22 @@ def test_storage_strides():
     assert vk.storage_strides(s, StorageOrder.LAST_INDEX_FASTEST) == (12, 4, 1)
 
 
-def _by_offsets(data, dims, strides):
-    """``data`` at ``sum(p * s)`` for every index, first index fastest: the
-    definition of a layout, independent of how ``gather`` merges runs."""
+def _by_offsets(data, dims, strides, offset):
+    """``data`` at ``offset + sum(p * s)`` for every index, first index
+    fastest: the definition of a layout, independent of how ``gather``
+    merges runs."""
     indices = vk.iter_indices(dims)
-    return tuple(data[sum(map(operator.mul, idx, strides))] for idx in indices)
+    return tuple(
+        data[offset + sum(map(operator.mul, idx, strides))] for idx in indices
+    )
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2, 2), (1, 5), (4, 1), (1, 1, 1)])
 def test_gather_matches_offset_sums_on_permuted_strides(dims):
-    data = tuple(range(100, 100 + math.prod(dims)))
+    size = math.prod(dims)
+    data = tuple(range(100, 100 + size))
+    # the same layouts from offsets inside a longer storage
+    longer = tuple(range(200, 200 + 2 * size + 1))
     for order in itertools.permutations(range(len(dims))):
         # contiguous storage that walks the dims in ``order``, fastest first;
         # extent-1 dims then take any stride
@@ -77,7 +83,10 @@ def test_gather_matches_offset_sums_on_permuted_strides(dims):
             acc *= dims[n]
         any_unit = [99 if m == 1 else s for m, s in zip(dims, strides)]
         for layout in ((dims, strides), (dims, any_unit)):
-            assert gather(data, *layout) == _by_offsets(data, *layout)
+            assert gather(data, *layout, 0) == _by_offsets(data, *layout, 0)
+            for offset in (0, 1, size + 1):
+                got = gather(longer, *layout, offset)
+                assert got == _by_offsets(longer, *layout, offset)
 
 
 @pytest.mark.parametrize(
@@ -92,29 +101,33 @@ def test_gather_matches_offset_sums_on_block_layouts(dims, outer):
         # block's gather: block-local indices fastest, then the grid index
         grid = tuple(s * st for s, st in zip(sub, strides))
         layout = (sub + outer, strides + grid)
-        assert gather(data, *layout) == _by_offsets(data, *layout)
+        assert gather(data, *layout, 0) == _by_offsets(data, *layout, 0)
     # unblock's gather over the interleaved (l_1, q_1, l_2, q_2, ...) dims
     steps = zip(vk.storage_strides(vk.Shape(sub)), vk.storage_strides(vk.Shape(outer)))
     layout = (
         tuple(itertools.chain.from_iterable(zip(sub, outer))),
         tuple(itertools.chain.from_iterable((ls, gs * n) for ls, gs in steps)),
     )
-    assert gather(data, *layout) == _by_offsets(data, *layout)
+    assert gather(data, *layout, 0) == _by_offsets(data, *layout, 0)
 
 
 def test_gather_returns_an_in_order_layout_as_is():
     data = (5, 6, 7)
-    assert gather(data, (3,), (1,)) is data
-    assert gather(data, (1, 3, 1), (7, 1, 3)) is data
-    assert gather(data, (2,), (2,)) == (5, 7)
+    assert gather(data, (3,), (1,), 0) is data
+    assert gather(data, (1, 3, 1), (7, 1, 3), 0) is data
+    assert gather(data, (2,), (2,), 0) == (5, 7)
     # in order but shorter than the storage: a copy, not the storage
-    assert gather((5, 6, 7, 8), (2,), (1,)) == (5, 6)
+    assert gather((5, 6, 7, 8), (2,), (1,), 0) == (5, 6)
     listed = [5, 6, 7, 8]
-    assert gather(listed, (2, 2), (1, 2)) is listed
+    assert gather(listed, (2, 2), (1, 2), 0) is listed
     # extent-1 dims may carry any stride, 0 included, at the front or between
-    assert gather(listed, (1, 4), (0, 1)) is listed
-    assert gather(listed, (2, 1, 2), (1, 0, 2)) is listed
-    assert gather(listed, (1, 2, 1, 2, 1), (0, 1, 0, 2, 0)) is listed
+    assert gather(listed, (1, 4), (0, 1), 0) is listed
+    assert gather(listed, (2, 1, 2), (1, 0, 2), 0) is listed
+    assert gather(listed, (1, 2, 1, 2, 1), (0, 1, 0, 2, 0), 0) is listed
+    # in order from a nonzero offset: the rest of the storage, copied
+    assert gather(listed, (3,), (1,), 1) == (6, 7, 8)
+    assert gather(listed, (1, 2), (5, 1), 2) == (7, 8)
+    assert gather(listed, (2,), (2,), 1) == (6, 8)
 
 
 @pytest.mark.parametrize(
@@ -132,10 +145,20 @@ def test_gather_refuses_a_layout_that_runs_past_the_data(dims, strides):
     # an extended slice would cut the copy short without an error; (3,)
     # with stride 2 is as long as the data but is not the data in order
     with pytest.raises(ShapeError) as info:
-        gather((1, 2, 3), dims, strides)
+        gather((1, 2, 3), dims, strides, 0)
     assert str(info.value) == (
         f"dims {list(dims)} with strides {list(strides)} run past 3 elements"
     )
+
+
+@pytest.mark.parametrize(
+    "dims, strides", [((3,), (1,)), ((2,), (2,)), ((3, 1), (1, 5))]
+)
+def test_gather_refuses_an_offset_that_runs_past_the_data(dims, strides):
+    # each layout fits the 3 elements from offset 0, and not from offset 1
+    assert len(gather((1, 2, 3), dims, strides, 0)) == math.prod(dims)
+    with pytest.raises(ShapeError, match="run past 3 elements"):
+        gather((1, 2, 3), dims, strides, 1)
 
 
 def test_elements_of_an_in_order_layout_is_the_storage():

@@ -26,10 +26,13 @@ elements each, so the module runs in well under a second; 64^3 and 8^6, of
 the same ranks, take several seconds and also make 4 and 10 gather calls
 per op, with the same copying counts.
 
-Two copies per shift are not counted, because no gather makes them:
-``block``'s per-block slices of its one gather, and ``unblock``'s
-concatenation of its blocks before its own gather.  Each copies about the
-tensor's size once per shift.
+No copy happens outside a gather.  ``block`` hands out its blocks as views
+of its one gather's tuple, at offsets 0, n, 2n, ...; ``unblock`` takes that
+tuple as the blocks' concatenation, since they are listed in grid storage
+order, and concatenates only a grid built by hand.  So a shift of a tensor
+stored in the order asked for copies nothing, and storage sharing is
+counted too: such a flattening, and every inverse of a vector, returns its
+input's own storage object.
 """
 
 import sys
@@ -67,8 +70,8 @@ def tally(monkeypatch):
     counts = Counter()
     gather, elements, init = core.gather, core.elements, core.DenseTensor.__init__
 
-    def counted_gather(data, dims, strides):
-        out = gather(data, dims, strides)
+    def counted_gather(data, dims, strides, offset):
+        out = gather(data, dims, strides, offset)
         counts["gathers"] += 1
         if out is not data:
             counts["copying"] += 1
@@ -124,3 +127,19 @@ def test_block_route_counts_stay_under_the_ceilings(tally, dims, op, order):
     assert tally["tensors"] <= tensors
     # the wrappers are in place: the route cannot run without a gather
     assert tally["gathers"] > 0 and tally["tensors"] > 0
+
+
+# the flattenings whose index order is the storage order
+SHARING = {(COLUMN, "vec_k"), (ROW, "rvec_k")}
+
+
+@pytest.mark.parametrize("order", [ROW, COLUMN], ids=["row", "column"])
+@pytest.mark.parametrize(
+    "dims, op",
+    GATHERS_AND_TENSORS,
+    ids=[f"{'x'.join(map(str, dims))}-{op}" for dims, op in GATHERS_AND_TENSORS],
+)
+def test_in_order_ops_return_their_input_storage(dims, op, order):
+    fn, arg = _inputs(dims, order)[op]
+    shares = op.endswith("inverse") or (order, op) in SHARING
+    assert (fn(arg).data is arg.data) == shares

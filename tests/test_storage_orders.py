@@ -12,7 +12,9 @@ readers that take ``core.gather``'s tuple, ``unblock``, ``tensors_equal``
 and ``write_tensor``, on layouts a random draw rarely makes.  Each layout is
 also unblocked as a one-block grid: ``block`` only builds blocks with
 canonical strides, so only such a hand-built grid reaches ``unblock``'s
-gather of a strided block.
+gather of a strided block.  Every layout is checked twice: as a tensor of
+its own storage, and as a view placed at a nonzero offset inside a longer
+storage of other values.
 """
 
 import itertools
@@ -44,6 +46,12 @@ def _layouts(rank):
                 yield DenseTensor(Shape(dims), range(step), strides)
 
 
+def _placed(t):
+    """``t`` as a view at offset 2 of its storage with two values either side."""
+    data = (-1, -2, *t.data, -3, -4)
+    return DenseTensor(t.shape, data, t.strides, 2)
+
+
 def _same(x, y):
     """Equal shapes and elements, by a plain list compare and by tensors_equal."""
     assert x.shape == y.shape
@@ -55,15 +63,17 @@ def _same(x, y):
 def test_every_storage_order_matches_the_index_route(tmp_path, rank):
     path = tmp_path / "t.json"
     count = 0
-    for t in _layouts(rank):
+    for layout in _layouts(rank):
         count += 1
-        v, r = vk.vec_k(t), vk.rvec_k(t)
-        _same(v, vec_by_index(t))
-        _same(r, vec_by_index(vk.reverse_dims(t)))
-        _same(vk.vec_inverse(v, t.shape), t)
-        _same(vk.rvec_inverse(r, t.shape), t)
-        for order in ("row-major", "column-major"):
-            write_tensor(t, path, order)
-            _same(read_tensor(path), t)
-        _same(unblock(BlockTensor(t.shape, vk.make_tensor((1,) * rank, [t]))), t)
+        for t in (layout, _placed(layout)):
+            v, r = vk.vec_k(t), vk.rvec_k(t)
+            _same(v, vec_by_index(t))
+            _same(r, vec_by_index(vk.reverse_dims(t)))
+            _same(vk.vec_inverse(v, t.shape), t)
+            _same(vk.rvec_inverse(r, t.shape), t)
+            for order in ("row-major", "column-major"):
+                write_tensor(t, path, order)
+                _same(read_tensor(path), t)
+            grid = vk.make_tensor((1,) * rank, [t])
+            _same(unblock(BlockTensor(t.shape, grid)), t)
     assert count == LAYOUTS[rank]

@@ -73,7 +73,7 @@ def _immutables():
     t = _tensors()["transposed"]
     return [
         (vk.Shape((2, 3)), ("dims", "size", "_strides")),
-        (t, ("shape", "data", "strides")),
+        (t, ("shape", "data", "strides", "offset")),
         (vk.block(t, (1, 1, 2)), ("block_shape", "grid")),
     ]
 
@@ -303,6 +303,25 @@ def test_verify_catches_a_grid_transpose_that_keeps_the_strides(tmp_path):
         max_rank=3,
         module="core.py",
     )
+
+
+# inside the block route the only views are blocks, which unblock takes as
+# one storage without reading them; verify's own tensors are views, so a
+# reader that misses their offset must still show
+_OFFSET_MUTANTS = {
+    "gather-from-zero": ("core.py", "bases = [offset]", "bases = [0]"),
+    "blocks-one-off": (
+        "blocking.py",
+        "DenseTensor(block_shape, flat, strides, i)",
+        "DenseTensor(block_shape, flat, strides, abs(i - 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_OFFSET_MUTANTS))
+def test_verify_catches_a_view_read_from_the_wrong_offset(tmp_path, mutant):
+    module, canonical, wrong = _OFFSET_MUTANTS[mutant]
+    _verify_mutant(tmp_path, canonical, wrong, max_rank=3, module=module)
 
 
 def test_verify_catches_elements_ignoring_the_order(tmp_path):
