@@ -26,13 +26,19 @@ from .errors import BlockError, DimError
 
 
 class BlockTensor:
-    """A grid of equally shaped blocks.
+    """A grid of equally shaped blocks, all views of one storage.
 
     ``grid`` is a :class:`DenseTensor` whose elements are the blocks: its
     shape is the outer grid and its strides place each block in its storage.
-    Construction checks that the outer and block ranks agree and that every
-    block has exactly ``block_shape``; the grid's own length check matches
-    the block count to the outer size.  Immutable, like the blocks it holds.
+    The blocks, in the grid's storage order, are first-index-fastest views
+    of one storage at offsets 0, n, 2n, ..., which holds exactly their
+    elements: it is their concatenation, so :func:`unblock` reads it without
+    visiting the blocks.  Construction checks that the outer and block ranks
+    agree and that every block has exactly ``block_shape``; the grid's own
+    length check matches the block count to the outer size.  A grid whose
+    blocks are not in that form is concatenated once and rebuilt over views
+    of the result, with its shape and strides kept.  Immutable, like the
+    blocks it holds.
     """
 
     __slots__ = ("block_shape", "grid")
@@ -42,12 +48,26 @@ class BlockTensor:
             raise BlockError(
                 f"outer rank {grid.rank} != block rank {block_shape.rank}"
             )
-        for b in _blocks(grid):
+        # the blocks in grid storage order: the grid's own window of storage
+        blocks = grid.data[grid.offset : grid.offset + grid.size]
+        for b in blocks:
             if b.shape.dims != block_shape.dims:
                 raise BlockError(
                     f"block shape {list(b.shape.dims)} differs from "
                     f"{list(block_shape.dims)}"
                 )
+        # strides compared by value: a copied block carries an equal tuple
+        canon = storage_strides(block_shape)
+        n = block_shape.size
+        flat = blocks[0].data
+        if len(flat) != n * len(blocks) or any(
+            b.data is not flat or b.strides != canon or b.offset != i
+            for b, i in zip(blocks, count(0, n))
+        ):
+            dims = block_shape.dims
+            runs = [gather(b.data, dims, b.strides, b.offset) for b in blocks]
+            flat = tuple(chain.from_iterable(runs))
+            grid = DenseTensor(grid.shape, _views(block_shape, flat), grid.strides)
         _set_block_shape(self, block_shape)
         _set_grid(self, grid)
 
@@ -71,10 +91,23 @@ class BlockTensor:
 _set_block_shape, _set_grid = _slot_setters(BlockTensor)
 
 
-def _blocks(grid: DenseTensor) -> tuple:
-    """The grid's blocks in its storage order: its own window of storage."""
-    start = grid.offset
-    return grid.data[start : start + grid.size]
+def _unchecked(block_shape: Shape, grid: DenseTensor) -> BlockTensor:
+    """A :class:`BlockTensor` of ``grid`` as it is: its blocks must already
+    be canonical views of one storage at offsets 0, n, 2n, ... in grid
+    storage order, and that storage exactly their elements."""
+    bt = BlockTensor.__new__(BlockTensor)
+    _set_block_shape(bt, block_shape)
+    _set_grid(bt, grid)
+    return bt
+
+
+def _views(block_shape: Shape, flat: tuple) -> list:
+    """Canonical ``block_shape`` views of ``flat``, one every n elements."""
+    strides = storage_strides(block_shape)
+    return [
+        DenseTensor(block_shape, flat, strides, i)
+        for i in range(0, len(flat), block_shape.size)
+    ]
 
 
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
@@ -96,17 +129,14 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
 
     # one gather over the source: block-local indices vary fastest, then the
     # grid index, whose step along dimension n is (M_n/T_n) * stride_n; each
-    # block is a view of that one storage, n elements after the one before
+    # block is a view of that one storage, n elements after the one before,
+    # and the grid lists them in that order, so nothing needs checking
     grid_strides = tuple(sn * st for sn, st in zip(sub, t.strides))
     flat = gather(
         t.data, block_shape.dims + outer.dims, t.strides + grid_strides, t.offset
     )
-    strides = storage_strides(block_shape)
-    blocks = [
-        DenseTensor(block_shape, flat, strides, i)
-        for i in range(0, len(flat), block_shape.size)
-    ]
-    return BlockTensor(block_shape, DenseTensor(outer, blocks, storage_strides(outer)))
+    grid = DenseTensor(outer, _views(block_shape, flat), storage_strides(outer))
+    return _unchecked(block_shape, grid)
 
 
 def unblock(bt: BlockTensor) -> DenseTensor:
@@ -118,25 +148,15 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     """
     sub, outer = bt.block_shape.dims, bt.outer_shape.dims
     shape = Shape(tuple(T * S for T, S in zip(outer, sub)))
-    # the blocks' elements end to end in the grid's storage order, each block
-    # first index fastest.  When the blocks are canonical views of one
-    # storage at offsets 0, n, 2n, ... (every grid ``block`` builds) and that
-    # storage holds nothing else, it is that concatenation already: gather's
-    # in-order rule, one level up.  Any other grid is concatenated.
-    canon = storage_strides(bt.block_shape)
     n = bt.block_shape.size
-    blocks = _blocks(bt.grid)
-    flat = blocks[0].data
-    if len(flat) != n * len(blocks) or any(
-        b.data is not flat or b.strides is not canon or b.offset != i
-        for b, i in zip(blocks, count(0, n))
-    ):
-        runs = [gather(b.data, sub, b.strides, b.offset) for b in blocks]
-        flat = tuple(chain.from_iterable(runs))
+    # the storage of the block first in grid storage order is every block's
+    # elements end to end in that order, each block first index fastest
+    grid = bt.grid
+    flat = grid.data[grid.offset].data
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest; the block at
     # grid index q starts n times its grid storage offset into ``flat``
-    steps = zip(canon, bt.grid.strides)
+    steps = zip(storage_strides(bt.block_shape), grid.strides)
     data = gather(
         flat,
         tuple(chain.from_iterable(zip(sub, outer))),
@@ -155,9 +175,6 @@ def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     grid = transpose(bt.grid, m, n)
     if grid is bt.grid:
         return bt
-    # the very blocks ``bt``'s construction checked, so they are not checked
-    # again; ``transpose`` has checked the grid's new strides
-    out = BlockTensor.__new__(BlockTensor)
-    _set_block_shape(out, bt.block_shape)
-    _set_grid(out, grid)
-    return out
+    # the grid's storage and its order are untouched, so its blocks are
+    # still the one storage in order; ``transpose`` has checked the strides
+    return _unchecked(bt.block_shape, grid)

@@ -5,11 +5,11 @@ Each check is a generator over its own cases, drawn from
 or a counterexample's text, after which it is not resumed.  :func:`run_all`
 numbers the cases, so a failure report names the seed and case number that
 replay it exactly, and checks stay independent of execution order.  The
-checks cover the golden worked example, the shift involution, agreement of
-the block-composition and index-arithmetic vectorization paths, every round
-trip, the index-map bijection and its digit decomposition, the
-shape-collapse witness, the Kronecker product identities, and the
-closed-form 2-D inverse.
+checks cover the golden worked example, the shift involution and the grid
+transpose of two wide grid dims, agreement of the block-composition and
+index-arithmetic vectorization paths, every round trip, the index-map
+bijection and its digit decomposition, the shape-collapse witness, the
+Kronecker product identities, and the closed-form 2-D inverse.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import random
 from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops
+from .blocking import block, transpose_outer, unblock
 from .core import (
     _MAX_BUILT_ELEMENTS,
     DenseTensor,
@@ -112,13 +113,50 @@ def _check_golden_shift(rng, cfg):
     yield None
 
 
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _wide_grid_transpose(rng, cfg):
+    """Block a tensor on a grid with two dims wider than 1, swap those with
+    ``transpose_outer`` and unblock: the element at ``p`` must be the source
+    element at ``q * S + l``, where ``l = p mod S`` and ``q = p div S`` with
+    the two grid dims swapped back.  A shift only ever swaps an extent-1
+    grid dim.  Returns a counterexample, or ``None``."""
+    max_extent = cfg["max_extent"]
+    dims = list(_random_shape(rng, cfg["max_rank"], max_extent, min_rank=2).dims)
+    a, b = rng.sample(range(len(dims)), 2)
+    dims[a], dims[b] = rng.randint(2, max_extent), rng.randint(2, max_extent)
+    t = _random_tensor(rng, Shape(tuple(dims)))
+    outer = [rng.choice(_divisors(m)) for m in dims]
+    outer[a], outer[b] = (rng.choice(_divisors(dims[n])[1:]) for n in (a, b))
+    sub = [m // T for m, T in zip(dims, outer)]
+    got = unblock(transpose_outer(block(t, outer), a + 1, b + 1))
+    for p, x in zip(iter_indices(got.shape), elements(got)):
+        q = [pn // s for pn, s in zip(p, sub)]
+        q[a], q[b] = q[b], q[a]
+        if x != t.get([qn * s + pn % s for qn, s, pn in zip(q, sub, p)]):
+            return (
+                f"grid of {outer} with dims {a + 1} and {b + 1} swapped "
+                f"unblocked {_describe(t)} into {_describe(got)}"
+            )
+    return None
+
+
 def _check_involution(rng, cfg):
+    # the grid transposes draw from a stream of their own, so the shift
+    # cases draw the tensors they always have
+    grids = random.Random(f"{cfg['seed']}:shift-involution:grid")
     for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"], min_rank=2)
         t = _random_tensor(rng, shape)
         back = vecops.shift_inverse(vecops.shift(t), shape.dims[-1])
         if not tensors_equal(back, t):
             yield f"shift then inverse changed {_describe(t)} into {_describe(back)}"
+        if cfg["max_extent"] > 1:
+            problem = _wide_grid_transpose(grids, cfg)
+            if problem is not None:
+                yield problem
         yield None
 
 
@@ -327,7 +365,12 @@ def run_all(
                 f"max rank {max_rank} and max extent {max_extent} draw {what} "
                 f"of up to {size} elements; the limit is {_MAX_BUILT_ELEMENTS}"
             )
-    cfg = {"max_rank": max_rank, "max_extent": max_extent, "cases": cases}
+    cfg = {
+        "seed": seed,
+        "max_rank": max_rank,
+        "max_extent": max_extent,
+        "cases": cases,
+    }
     results = []
     for name, check in _CHECKS:
         case, problem = 0, None

@@ -9,6 +9,7 @@ from veckit import (
     DimError,
     ShapeError,
     block,
+    blocking,
     transpose_outer,
     unblock,
 )
@@ -68,7 +69,7 @@ def test_unblock_inverts_block(golden, outer):
 
 def test_unblock_gathers_strided_blocks(golden):
     # block() gives every block its shape's own first-index-fastest strides;
-    # a grid built by hand from row-major copies takes unblock's gather path
+    # a grid built by hand from row-major copies is concatenated when built
     bt = block(golden, (1, 1, 3))
     row = StorageOrder.LAST_INDEX_FASTEST
     copies = [
@@ -145,8 +146,8 @@ def test_transpose_outer_rejects_out_of_range(golden):
 
 def test_unblock_concatenates_views_listed_out_of_offset_order():
     # canonical views of one storage, but not at offsets 0, n, 2n, ... in
-    # grid storage order: ``block`` never builds such a grid, so only this
-    # test sees an unblock that takes the storage as the concatenation
+    # grid storage order: ``block`` never builds such a grid, and the
+    # constructor must not take that storage as the concatenation
     for dims in ((3,), (3, 2)):
         s = vk.Shape(dims)
         n = s.size
@@ -174,6 +175,57 @@ def test_block_hands_out_views_of_one_storage():
     # the one storage is t's own
     whole = block(t, (1, 1, 2))
     assert whole.block_at((0, 0, 1)).data is t.data
+
+
+def _pair(s, data, offsets, order=StorageOrder.FIRST_INDEX_FASTEST):
+    strides = vk.storage_strides(s, order)
+    return tuple(vk.DenseTensor(s, data, strides, o) for o in offsets)
+
+
+# two 2x2 blocks that are not canonical views of one storage at offsets 0
+# and 4 holding exactly their 8 elements
+_NOT_ONE_STORAGE = {
+    "strided": lambda s: (
+        _pair(s, range(1, 5), [0], StorageOrder.LAST_INDEX_FASTEST)
+        + _pair(s, range(5, 9), [0], StorageOrder.LAST_INDEX_FASTEST)
+    ),
+    "two-storages": lambda s: (
+        _pair(s, (1, 2, 3, 4, 0, 0, 0, 0), [0])
+        + _pair(s, (0, 0, 0, 0, 5, 6, 7, 8), [4])
+    ),
+    "spare-storage": lambda s: _pair(s, (*range(1, 9), 0), [0, 4]),
+    "out-of-offset-order": lambda s: _pair(s, (5, 6, 7, 8, 1, 2, 3, 4), [4, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_ONE_STORAGE))
+def test_block_tensor_rebuilds_a_grid_that_is_not_one_storage(case):
+    # the grid keeps its shape, strides and blocks' elements over one new
+    # storage that holds the blocks end to end in grid storage order
+    s = vk.Shape((2, 2))
+    pair = _NOT_ONE_STORAGE[case](s)
+    grid = vk.make_tensor((1, 2), pair, StorageOrder.LAST_INDEX_FASTEST)
+    bt = BlockTensor(s, grid)
+    assert (bt.outer_shape, bt.grid.strides) == (grid.shape, grid.strides)
+    blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
+    assert [elements(b) for b in blocks] == [elements(b) for b in pair]
+    assert [(b.strides, b.offset) for b in blocks] == [((1, 2), 0), ((1, 2), 4)]
+    assert blocks[1].data is blocks[0].data
+    assert len(blocks[0].data) == 8
+    # a grid already in that form is kept as it is
+    assert BlockTensor(s, bt.grid).grid is bt.grid
+
+
+def test_unblock_reads_no_block_after_the_first():
+    # the first block's storage is the concatenation: placeholders after the
+    # first view, in a grid built without checks, are never read
+    bt = block(sequential((4, 6, 2)), (2, 3, 2))
+    first = bt.grid.data[0]
+    grid = vk.DenseTensor(bt.outer_shape, (first,) + (None,) * 11, bt.grid.strides)
+    hollow = blocking._unchecked(bt.block_shape, grid)
+    assert vk.tensors_equal(unblock(hollow), unblock(bt))
+    swapped = transpose_outer(hollow, 1, 2)
+    assert vk.tensors_equal(unblock(swapped), unblock(transpose_outer(bt, 1, 2)))
 
 
 def test_block_tensor_rejects_wrong_count():

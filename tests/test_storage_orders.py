@@ -11,10 +11,18 @@ either element order must read back as the same tensor.  This reaches the
 readers that take ``core.gather``'s tuple, ``unblock``, ``tensors_equal``
 and ``write_tensor``, on layouts a random draw rarely makes.  Each layout is
 also unblocked as a one-block grid: ``block`` only builds blocks with
-canonical strides, so only such a hand-built grid reaches ``unblock``'s
-gather of a strided block.  Every layout is checked twice: as a tensor of
-its own storage, and as a view placed at a nonzero offset inside a longer
-storage of other values.
+canonical strides, so only such a hand-built grid reaches the
+``BlockTensor`` constructor's gather of a strided block.  Every layout is
+checked twice: as a tensor of its own storage, and as a view placed at a
+nonzero offset inside a longer storage of other values.
+
+Every ``BlockTensor`` holds its blocks as first-index-fastest views of one
+storage at offsets 0, n, 2n, ... in grid storage order, a storage that
+holds nothing else, and ``unblock`` reads that storage without visiting
+the blocks.  So every grid ``block`` builds from each layout, and its grid
+transpose, must be in that form, and a hand-built grid that is not (the
+one-block grid of a strided or placed layout, or ``block``'s own views
+listed last grid index fastest) must be brought into it on construction.
 """
 
 import itertools
@@ -22,8 +30,18 @@ import itertools
 import pytest
 
 import veckit as vk
-from veckit import BlockTensor, DenseTensor, Shape, read_tensor, unblock, write_tensor
-from veckit.core import elements
+from veckit import (
+    BlockTensor,
+    DenseTensor,
+    Shape,
+    StorageOrder,
+    block,
+    read_tensor,
+    transpose_outer,
+    unblock,
+    write_tensor,
+)
+from veckit.core import elements, iter_indices
 from veckit.indexmap import vec_by_index
 
 # distinct layouts per rank; 728 in all
@@ -52,6 +70,24 @@ def _placed(t):
     return DenseTensor(t.shape, data, t.strides, 2)
 
 
+def _one_storage(bt):
+    """Assert that ``bt``'s blocks, in grid storage order, are canonical
+    views of one storage at offsets 0, n, 2n, ..., which holds only them."""
+    grid = bt.grid
+    blocks = grid.data[grid.offset : grid.offset + grid.size]
+    n = bt.block_shape.size
+    flat = blocks[0].data
+    assert len(flat) == n * len(blocks)
+    for i, b in enumerate(blocks):
+        assert b.data is flat
+        assert (b.strides, b.offset) == (vk.storage_strides(b.shape), i * n)
+
+
+def _outers(dims):
+    """Every outer grid of ``dims``: each extent 1-3 is 1 or prime."""
+    return itertools.product(*({1, m} for m in dims))
+
+
 def _same(x, y):
     """Equal shapes and elements, by a plain list compare and by tensors_equal."""
     assert x.shape == y.shape
@@ -75,5 +111,25 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
                 write_tensor(t, path, order)
                 _same(read_tensor(path), t)
             grid = vk.make_tensor((1,) * rank, [t])
-            _same(unblock(BlockTensor(t.shape, grid)), t)
+            whole = BlockTensor(t.shape, grid)
+            _one_storage(whole)
+            _same(unblock(whole), t)
     assert count == LAYOUTS[rank]
+
+
+@pytest.mark.parametrize("rank", sorted(LAYOUTS))
+def test_every_grid_of_every_storage_order_is_one_storage(rank):
+    row = StorageOrder.LAST_INDEX_FASTEST
+    for layout in _layouts(rank):
+        for outer in _outers(layout.shape.dims):
+            for t in (layout, _placed(layout)):
+                bt = block(t, outer)
+                _one_storage(bt)
+                _one_storage(transpose_outer(bt, 1, rank))
+            # the same grid, its views listed out of offset order when two
+            # grid dims are wide: rebuilt in grid storage order
+            listed = [bt.block_at(q) for q in iter_indices(outer, row)]
+            hand = BlockTensor(bt.block_shape, vk.make_tensor(outer, listed, row))
+            _one_storage(hand)
+            assert hand.grid.strides == vk.storage_strides(hand.outer_shape, row)
+            assert elements(unblock(hand)) == elements(layout)

@@ -307,7 +307,9 @@ def test_verify_catches_a_grid_transpose_that_keeps_the_strides(tmp_path):
 
 # inside the block route the only views are blocks, which unblock takes as
 # one storage without reading them; verify's own tensors are views, so a
-# reader that misses their offset must still show
+# reader that misses their offset must still show.  Views one element off
+# are read by nothing in the pipeline: they show because the view of a
+# one-block grid then runs past its storage
 _OFFSET_MUTANTS = {
     "gather-from-zero": ("core.py", "bases = [offset]", "bases = [0]"),
     "blocks-one-off": (
@@ -322,6 +324,24 @@ _OFFSET_MUTANTS = {
 def test_verify_catches_a_view_read_from_the_wrong_offset(tmp_path, mutant):
     module, canonical, wrong = _OFFSET_MUTANTS[mutant]
     _verify_mutant(tmp_path, canonical, wrong, max_rank=3, module=module)
+
+
+# unblock's one gather is the whole concatenation, so the grid strides it
+# reads must show; verify's grid transposes swap two wide grid dims, which
+# a shift never does
+_BLOCKING_MUTANTS = {
+    "unblock-canonical-grid-strides": (
+        "zip(storage_strides(bt.block_shape), grid.strides)",
+        "zip(storage_strides(bt.block_shape), storage_strides(bt.outer_shape))",
+    ),
+    "block-extent-off-by-one": ("sub.append(M // T)", "sub.append(M // T + 1)"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_BLOCKING_MUTANTS))
+def test_verify_catches_a_wrong_block_grid(tmp_path, mutant):
+    canonical, wrong = _BLOCKING_MUTANTS[mutant]
+    _verify_mutant(tmp_path, canonical, wrong, max_rank=3, module="blocking.py")
 
 
 def test_verify_catches_elements_ignoring_the_order(tmp_path):
