@@ -21,6 +21,7 @@ from .core import (
     transpose,
     _read_only,
     _slot_setters,
+    _unchecked_view,
 )
 from .errors import BlockError, DimError
 
@@ -102,10 +103,11 @@ def _unchecked(block_shape: Shape, grid: DenseTensor) -> BlockTensor:
 
 
 def _views(block_shape: Shape, flat: tuple) -> list:
-    """Canonical ``block_shape`` views of ``flat``, one every n elements."""
+    """Canonical ``block_shape`` views of ``flat``, one every n elements;
+    each fits ``flat`` by construction, so none is checked."""
     strides = storage_strides(block_shape)
     return [
-        DenseTensor(block_shape, flat, strides, i)
+        _unchecked_view(block_shape, flat, strides, i)
         for i in range(0, len(flat), block_shape.size)
     ]
 

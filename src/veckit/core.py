@@ -313,6 +313,21 @@ class DenseTensor:
 _set_shape, _set_data, _set_strides, _set_offset = _slot_setters(DenseTensor)
 
 
+def _unchecked_view(
+    shape: Shape, data: tuple, strides: tuple, offset: int
+) -> DenseTensor:
+    """A :class:`DenseTensor` of these four slots as they are, checked by
+    nothing: for views whose layout the caller has just built itself, so the
+    strides must tile ``shape`` and ``offset + shape.size`` stay within
+    ``data``.  ``verify`` reads such views against the source."""
+    t = DenseTensor.__new__(DenseTensor)
+    _set_shape(t, shape)
+    _set_data(t, data)
+    _set_strides(t, strides)
+    _set_offset(t, offset)
+    return t
+
+
 def make_tensor(
     shape: ShapeLike,
     data: Sequence[Scalar],

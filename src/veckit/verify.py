@@ -5,16 +5,18 @@ Each check is a generator over its own cases, drawn from
 or a counterexample's text, after which it is not resumed.  :func:`run_all`
 numbers the cases, so a failure report names the seed and case number that
 replay it exactly, and checks stay independent of execution order.  The
-checks cover the golden worked example, the shift involution and the grid
-transpose of two wide grid dims, agreement of the block-composition and
-index-arithmetic vectorization paths, every round trip, the index-map
-bijection and its digit decomposition, the shape-collapse witness, the
-Kronecker product identities, and the closed-form 2-D inverse.
+checks cover the golden worked example, the shift involution, every block
+view of a grid with two wide dims and the grid transpose of those dims,
+agreement of the block-composition and index-arithmetic vectorization
+paths, every round trip, the index-map bijection and its digit
+decomposition, the shape-collapse witness, the Kronecker product
+identities, and the closed-form 2-D inverse.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import NamedTuple
 
 from . import indexmap, kron2d, vecops
@@ -27,6 +29,7 @@ from .core import (
     from_nested,
     iter_indices,
     make_tensor,
+    storage_strides,
     tensors_equal,
     to_nested,
 )
@@ -118,11 +121,13 @@ def _divisors(m: int) -> list[int]:
 
 
 def _wide_grid_transpose(rng, cfg):
-    """Block a tensor on a grid with two dims wider than 1, swap those with
-    ``transpose_outer`` and unblock: the element at ``p`` must be the source
-    element at ``q * S + l``, where ``l = p mod S`` and ``q = p div S`` with
-    the two grid dims swapped back.  A shift only ever swaps an extent-1
-    grid dim.  Returns a counterexample, or ``None``."""
+    """Block a tensor on a grid with two dims wider than 1: the block at
+    ``q``, read through ``block_at``, must hold at ``l`` the source element
+    at ``q * S + l``.  Then swap the two dims with ``transpose_outer`` and
+    unblock: the element at ``p`` must be the source element at
+    ``q * S + l``, where ``l = p mod S`` and ``q = p div S`` with the two
+    grid dims swapped back.  A shift only ever swaps an extent-1 grid dim.
+    Returns a counterexample, or ``None``."""
     max_extent = cfg["max_extent"]
     dims = list(_random_shape(rng, cfg["max_rank"], max_extent, min_rank=2).dims)
     a, b = rng.sample(range(len(dims)), 2)
@@ -131,11 +136,28 @@ def _wide_grid_transpose(rng, cfg):
     outer = [rng.choice(_divisors(m)) for m in dims]
     outer[a], outer[b] = (rng.choice(_divisors(dims[n])[1:]) for n in (a, b))
     sub = [m // T for m, T in zip(dims, outer)]
-    got = unblock(transpose_outer(block(t, outer), a + 1, b + 1))
+    # the source read once, index by index, without blocking: the element
+    # at r is source[sum(r_n * F_n)], F the first-index-fastest strides
+    source = [t.get(r) for r in iter_indices(t.shape)]
+    ff = storage_strides(t.shape)
+    inner = [sum(map(mul, l, ff)) for l in iter_indices(sub)]
+    bt = block(t, outer)
+    # block builds its views unchecked and unblock reads none of them past
+    # the first one's storage, so this is what reads them
+    for q in iter_indices(outer):
+        view = bt.block_at(q)
+        start = sum(qn * s * f for qn, s, f in zip(q, sub, ff))
+        if list(elements(view)) != [source[start + i] for i in inner]:
+            return (
+                f"block {list(q)} of a grid of {outer} over {_describe(t)} "
+                f"holds {_describe(view)}"
+            )
+    got = unblock(transpose_outer(bt, a + 1, b + 1))
     for p, x in zip(iter_indices(got.shape), elements(got)):
         q = [pn // s for pn, s in zip(p, sub)]
         q[a], q[b] = q[b], q[a]
-        if x != t.get([qn * s + pn % s for qn, s, pn in zip(q, sub, p)]):
+        r = [qn * s + pn % s for qn, s, pn in zip(q, sub, p)]
+        if x != source[sum(map(mul, r, ff))]:
             return (
                 f"grid of {outer} with dims {a + 1} and {b + 1} swapped "
                 f"unblocked {_describe(t)} into {_describe(got)}"

@@ -307,15 +307,22 @@ def test_verify_catches_a_grid_transpose_that_keeps_the_strides(tmp_path):
 
 # inside the block route the only views are blocks, which unblock takes as
 # one storage without reading them; verify's own tensors are views, so a
-# reader that misses their offset must still show.  Views one element off
-# are read by nothing in the pipeline: they show because the view of a
-# one-block grid then runs past its storage
+# reader that misses their offset must still show.  block builds its views
+# unchecked, so views at the wrong offsets show because verify reads every
+# block of its wide grids through block_at, whether they stay within their
+# storage or not
 _OFFSET_MUTANTS = {
     "gather-from-zero": ("core.py", "bases = [offset]", "bases = [0]"),
     "blocks-one-off": (
         "blocking.py",
-        "DenseTensor(block_shape, flat, strides, i)",
-        "DenseTensor(block_shape, flat, strides, abs(i - 1))",
+        "_unchecked_view(block_shape, flat, strides, i)",
+        "_unchecked_view(block_shape, flat, strides, abs(i - 1))",
+    ),
+    "blocks-one-off-in-range": (
+        "blocking.py",
+        "_unchecked_view(block_shape, flat, strides, i)",
+        "_unchecked_view(block_shape, flat, strides, "
+        "min(i + 1, len(flat) - block_shape.size))",
     ),
 }
 
