@@ -9,7 +9,8 @@ the shifting operation builds on.
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import chain, count, repeat
+from operator import mul
 
 from .core import (
     DenseTensor,
@@ -17,7 +18,6 @@ from .core import (
     ShapeLike,
     as_shape,
     gather,
-    storage_strides,
     transpose,
     _read_only,
     _slot_setters,
@@ -58,7 +58,7 @@ class BlockTensor:
                     f"{list(block_shape.dims)}"
                 )
         # strides compared by value: a copied block carries an equal tuple
-        canon = storage_strides(block_shape)
+        canon = block_shape._strides
         n = block_shape.size
         flat = blocks[0].data
         if len(flat) != n * len(blocks) or any(
@@ -102,14 +102,15 @@ def _unchecked(block_shape: Shape, grid: DenseTensor) -> BlockTensor:
     return bt
 
 
-def _views(block_shape: Shape, flat: tuple) -> list:
-    """Canonical ``block_shape`` views of ``flat``, one every n elements;
-    each fits ``flat`` by construction, so none is checked."""
-    strides = storage_strides(block_shape)
-    return [
+def _views(block_shape: Shape, flat: tuple) -> tuple:
+    """Canonical ``block_shape`` views of ``flat``, one every n elements,
+    as the tuple a grid stores; each fits ``flat`` by construction, so none
+    is checked."""
+    strides = block_shape._strides
+    return tuple([
         _unchecked_view(block_shape, flat, strides, i)
         for i in range(0, len(flat), block_shape.size)
-    ]
+    ])
 
 
 def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
@@ -120,24 +121,27 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
     ``n``-th index lies in ``[q_n * M_n/T_n, (q_n + 1) * M_n/T_n)``.
     """
     outer = as_shape(outer)
-    if outer.rank != t.rank:
-        raise DimError(f"outer rank {outer.rank} != tensor rank {t.rank}")
+    dims, strides = t.shape.dims, t.strides
+    if len(outer.dims) != len(dims):
+        raise DimError(f"outer rank {len(outer.dims)} != tensor rank {len(dims)}")
     sub = []
-    for T, M in zip(outer.dims, t.shape.dims):
+    for T, M in zip(outer.dims, dims):
         if M % T != 0:
             raise BlockError(f"outer extent {T} does not divide extent {M}")
         sub.append(M // T)
-    block_shape = Shape(tuple(sub))
+    block_shape = Shape(sub)
 
     # one gather over the source: block-local indices vary fastest, then the
     # grid index, whose step along dimension n is (M_n/T_n) * stride_n; each
     # block is a view of that one storage, n elements after the one before,
     # and the grid lists them in that order, so nothing needs checking
-    grid_strides = tuple(sn * st for sn, st in zip(sub, t.strides))
     flat = gather(
-        t.data, block_shape.dims + outer.dims, t.strides + grid_strides, t.offset
+        t.data,
+        block_shape.dims + outer.dims,
+        strides + tuple(map(mul, sub, strides)),
+        t.offset,
     )
-    grid = DenseTensor(outer, _views(block_shape, flat), storage_strides(outer))
+    grid = DenseTensor(outer, _views(block_shape, flat), outer._strides)
     return _unchecked(block_shape, grid)
 
 
@@ -148,24 +152,22 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     keeps explicit rank ``k`` even when some extents are 1; squeezing is a
     separate, caller-controlled step.
     """
-    sub, outer = bt.block_shape.dims, bt.outer_shape.dims
-    shape = Shape(tuple(T * S for T, S in zip(outer, sub)))
-    n = bt.block_shape.size
+    block_shape, grid = bt.block_shape, bt.grid
+    sub, outer = block_shape.dims, grid.shape.dims
+    shape = Shape(map(mul, outer, sub))
     # the storage of the block first in grid storage order is every block's
     # elements end to end in that order, each block first index fastest
-    grid = bt.grid
     flat = grid.data[grid.offset].data
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest; the block at
     # grid index q starts n times its grid storage offset into ``flat``
-    steps = zip(storage_strides(bt.block_shape), grid.strides)
-    data = gather(
-        flat,
-        tuple(chain.from_iterable(zip(sub, outer))),
-        tuple(chain.from_iterable((ls, gs * n) for ls, gs in steps)),
-        0,
-    )
-    return DenseTensor(shape, data, storage_strides(shape))
+    dims = [0] * (2 * len(sub))
+    strides = dims[:]
+    dims[::2], dims[1::2] = sub, outer
+    strides[::2] = block_shape._strides
+    strides[1::2] = map(mul, grid.strides, repeat(block_shape.size))
+    data = gather(flat, dims, strides, 0)
+    return DenseTensor(shape, data, shape._strides)
 
 
 def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:

@@ -285,7 +285,7 @@ class DenseTensor:
 
     @property
     def rank(self) -> int:
-        return self.shape.rank
+        return len(self.shape.dims)
 
     @property
     def size(self) -> int:

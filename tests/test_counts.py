@@ -2,14 +2,23 @@
 
 Timings move with the machine; the work the block route does can be counted
 exactly.  Every name through which the package resolves ``core.gather``,
-``core.elements`` and ``core._unchecked_view`` is wrapped, and so is
-``DenseTensor.__init__``.  Each op then runs on fixed row- and column-major
-shapes, and its counts must not exceed the ceilings below:
+``core.elements`` and ``core._unchecked_view`` is wrapped, and so are
+``DenseTensor.__init__`` and ``Shape.__init__``.  Each op then runs on fixed
+row- and column-major shapes, and its counts must not exceed the ceilings
+below:
 
 * gather calls, and the calls that copy (return something other than the
   storage they were given);
 * elements copied by those gathers;
 * tensors built, checked or not (``block``'s views skip ``__init__``);
+* shapes built, five per shift: the grid, the block, the transposed grid,
+  the concatenation and the relabel's, plus the target shapes an inverse
+  coerces and ``reverse_dims``'s relabel;
+* stride checks: tensors built with strides other than their shape's own
+  tuple, which ``DenseTensor`` must prove tile the shape.  There is one per
+  shift, the grid transpose's, and one for ``reverse_dims`` in the ``rvec``
+  ops.  ``block``, ``unblock`` and the trailing-axis relabels pass the
+  shape's own tuple, which is checked by construction;
 * ``elements`` calls, which must be zero: the block route permutes
   storage through ``gather`` alone, and ``elements`` is the reader of the
   modules outside both routes (files, the Kronecker oracle, nested lists),
@@ -68,6 +77,24 @@ GATHERS_AND_TENSORS = {
     ((4,) * 6, "rvec_inverse"): (10, 1385),
 }
 
+# (shape, op) -> shapes built; both storage orders
+SHAPES = {
+    ((16, 16, 16), "vec_k"): 10,
+    ((16, 16, 16), "rvec_k"): 11,
+    ((16, 16, 16), "vec_inverse"): 11,
+    ((16, 16, 16), "rvec_inverse"): 13,
+    ((4,) * 6, "vec_k"): 25,
+    ((4,) * 6, "rvec_k"): 26,
+    ((4,) * 6, "vec_inverse"): 26,
+    ((4,) * 6, "rvec_inverse"): 28,
+}
+
+
+def _stride_checks(dims, op):
+    """One per shift, k - 1 per op, and one more for ``reverse_dims``."""
+    return len(dims) - 1 + op.startswith("rvec")
+
+
 # the one gather that copies, of the whole tensor once: the flattening whose
 # index order differs from the storage order; every other op copies nothing
 COPYING = {(ROW, "vec_k"), (COLUMN, "rvec_k")}
@@ -77,7 +104,7 @@ COPYING = {(ROW, "vec_k"), (COLUMN, "rvec_k")}
 def tally(monkeypatch):
     counts = Counter()
     gather, elements, init = core.gather, core.elements, core.DenseTensor.__init__
-    view = core._unchecked_view
+    view, shape_init = core._unchecked_view, core.Shape.__init__
 
     def counted_gather(data, dims, strides, offset):
         out = gather(data, dims, strides, offset)
@@ -94,6 +121,14 @@ def tally(monkeypatch):
     def counted_init(self, *args, **kwargs):
         counts["tensors"] += 1
         init(self, *args, **kwargs)
+        # the stored tuple is the one given, so this is the identity test
+        # that decides whether __init__ checked the strides
+        if self.strides is not self.shape._strides:
+            counts["stride checks"] += 1
+
+    def counted_shape(self, *args, **kwargs):
+        counts["shapes"] += 1
+        shape_init(self, *args, **kwargs)
 
     def counted_view(*args):
         counts["tensors"] += 1
@@ -111,6 +146,7 @@ def tally(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
     monkeypatch.setattr(core.DenseTensor, "__init__", counted_init)
+    monkeypatch.setattr(core.Shape, "__init__", counted_shape)
     return counts
 
 
@@ -142,8 +178,12 @@ def test_block_route_counts_stay_under_the_ceilings(tally, dims, op, order):
     assert tally["copying"] <= copying
     assert tally["copied"] <= copying * SIZE
     assert tally["tensors"] <= tensors
-    # the wrappers are in place: the route cannot run without a gather
+    assert tally["shapes"] <= SHAPES[dims, op]
+    assert tally["stride checks"] <= _stride_checks(dims, op)
+    # the wrappers are in place: the route cannot run without a gather, a
+    # shape or a grid transpose
     assert tally["gathers"] > 0 and tally["tensors"] > 0
+    assert tally["shapes"] > 0 and tally["stride checks"] > 0
 
 
 # the flattenings whose index order is the storage order

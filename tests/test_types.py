@@ -237,11 +237,9 @@ def test_reimports_leave_only_the_current_copy_alive():
     assert proc.stdout.strip() == "1 True"
 
 
-def _verify_mutant(tmp_path, canonical, mutant, max_rank, module="core.py"):
-    """Run ``verify --cases 20`` on a copy of the package whose ``module``
-    has its one ``canonical`` line replaced by ``mutant``; expect exit 2
-    with a ``seed=… case=…`` line, and the same report again when rerun
-    with that seed."""
+def _mutated_copy(tmp_path, module, canonical, mutant):
+    """The root of a copy of the package whose ``module`` has its one
+    ``canonical`` text replaced by ``mutant``."""
     copy_root = tmp_path / "src"
     shutil.copytree(
         _PACKAGE, copy_root / "veckit", ignore=shutil.ignore_patterns("__pycache__")
@@ -250,6 +248,15 @@ def _verify_mutant(tmp_path, canonical, mutant, max_rank, module="core.py"):
     source = path.read_text(encoding="utf-8")
     assert source.count(canonical) == 1
     path.write_text(source.replace(canonical, mutant), encoding="utf-8")
+    return copy_root
+
+
+def _verify_mutant(tmp_path, canonical, mutant, max_rank, module="core.py"):
+    """Run ``verify --cases 20`` on a copy of the package whose ``module``
+    has its one ``canonical`` line replaced by ``mutant``; expect exit 2
+    with a ``seed=… case=…`` line, and the same report again when rerun
+    with that seed."""
+    copy_root = _mutated_copy(tmp_path, module, canonical, mutant)
     args = ["-m", "veckit", "verify", "--cases", "20", "--max-rank", str(max_rank)]
     proc = _python(args, copy_root)
     assert proc.returncode == 2, proc.stdout + proc.stderr
@@ -338,8 +345,8 @@ def test_verify_catches_a_view_read_from_the_wrong_offset(tmp_path, mutant):
 # a shift never does
 _BLOCKING_MUTANTS = {
     "unblock-canonical-grid-strides": (
-        "zip(storage_strides(bt.block_shape), grid.strides)",
-        "zip(storage_strides(bt.block_shape), storage_strides(bt.outer_shape))",
+        "map(mul, grid.strides, repeat(block_shape.size))",
+        "map(mul, grid.shape._strides, repeat(block_shape.size))",
     ),
     "block-extent-off-by-one": ("sub.append(M // T)", "sub.append(M // T + 1)"),
 }
@@ -372,3 +379,73 @@ def test_verify_catches_a_rotated_matrix_column(tmp_path):
         max_rank=4,
         module="kron2d.py",
     )
+
+
+def test_verify_catches_a_reverse_dims_that_keeps_the_strides(tmp_path):
+    # rvec_k and rvec_inverse relabel through reverse_dims; extents reversed
+    # over the old strides misplace elements or fail to tile
+    _verify_mutant(
+        tmp_path,
+        "t.data, t.strides[::-1], t.offset)",
+        "t.data, t.strides, t.offset)",
+        max_rank=3,
+        module="vecops.py",
+    )
+
+
+def test_verify_catches_a_wrong_digit_in_the_index_route(tmp_path):
+    # digit value p read as m - p: every offset stays in range, and extent-2
+    # digits are unchanged, so only the comparison with the block route and
+    # the index round trip show it
+    _verify_mutant(
+        tmp_path,
+        "repeat(p * stride, n)",
+        "repeat((m - p) * stride, n)",
+        max_rank=3,
+        module="indexmap.py",
+    )
+
+
+# the trailing-axis relabels pass a shape's own strides on as the new
+# shape's own; turned around, a strided input takes canonical strides.
+# Inside verify this is an equivalent mutant: shift_inverse there only
+# ever splits shift's or vec_k's canonical results, and _drop_trailing_axis
+# only ever drops unblock's trailing axis.  Tier-1 catches it: the stride
+# check counts of test_counts.py, and the relabel tests of test_vecops.py,
+# which give both relabels row-major input and are run here
+_RELABEL_MUTANTS = {
+    "append": (
+        "shape._strides\n    else:\n        strides = t.strides + (t.size,)",
+        "t.strides + (t.size,)\n    else:\n        strides = shape._strides",
+    ),
+    "drop": (
+        "shape._strides\n    else:\n        strides = t.strides[:-1]",
+        "t.strides[:-1]\n    else:\n        strides = shape._strides",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_RELABEL_MUTANTS))
+def test_the_relabel_tests_catch_a_turned_canonical_test(tmp_path, mutant):
+    canonical, wrong = _RELABEL_MUTANTS[mutant]
+    copy_root = _mutated_copy(tmp_path, "vecops.py", canonical, wrong)
+    tests = Path(__file__).with_name("test_vecops.py")
+    args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", str(tests), "-k", "relabel"]
+    proc = _python(args, copy_root)
+    assert re.search(r"^\d+ failed", proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_a_reader_that_lets_nan_through_shows_in_the_error_line(tmp_path):
+    # write_tensor refuses NaN too, so the exit status alone cannot tell a
+    # reader that lets it through; the error line must name the input
+    source = tmp_path / "nan.json"
+    source.write_text('{"shape": [2], "data": [1, NaN]}', encoding="utf-8")
+    args = ["-m", "veckit", "vec", str(source), str(tmp_path / "out.json")]
+    expected = f"error: {source}: data[1] is not finite: nan\n"
+    proc = _python(args)
+    assert (proc.returncode, proc.stderr) == (1, expected)
+    copy_root = _mutated_copy(
+        tmp_path, "tensorfile.py", "if math.isfinite(sum(data)):", "if True:"
+    )
+    proc = _python(args, copy_root)
+    assert proc.returncode == 1 and proc.stderr != expected
