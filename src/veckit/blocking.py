@@ -18,6 +18,7 @@ from .core import (
     ShapeLike,
     as_shape,
     gather,
+    storage_strides,
     transpose,
     _read_only,
     _slot_setters,
@@ -58,7 +59,7 @@ class BlockTensor:
                     f"{list(block_shape.dims)}"
                 )
         # strides compared by value: a copied block carries an equal tuple
-        canon = block_shape._strides
+        canon = storage_strides(block_shape)
         n = block_shape.size
         flat = blocks[0].data
         if len(flat) != n * len(blocks) or any(
@@ -106,6 +107,8 @@ def _views(block_shape: Shape, flat: tuple) -> tuple:
     """Canonical ``block_shape`` views of ``flat``, one every n elements,
     as the tuple a grid stores; each fits ``flat`` by construction, so none
     is checked."""
+    # the tuple storage_strides returns, read without the call: each shift
+    # step reads four such tuples here and in block and unblock
     strides = block_shape._strides
     return tuple([
         _unchecked_view(block_shape, flat, strides, i)
@@ -160,7 +163,8 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     flat = grid.data[grid.offset].data
     # result index p_n = q_n * S_n + l_n, so listing the result first index
     # fastest walks (l_1, q_1, l_2, q_2, ...) with l_1 fastest; the block at
-    # grid index q starts n times its grid storage offset into ``flat``
+    # grid index q starts n times its grid storage offset into ``flat``;
+    # slice assignment interleaves the pairs, with no per-pair tuples
     dims = [0] * (2 * len(sub))
     strides = dims[:]
     dims[::2], dims[1::2] = sub, outer

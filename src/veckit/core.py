@@ -285,7 +285,7 @@ class DenseTensor:
 
     @property
     def rank(self) -> int:
-        return len(self.shape.dims)
+        return self.shape.rank
 
     @property
     def size(self) -> int:
@@ -384,7 +384,21 @@ def squeeze_trailing(t: DenseTensor) -> DenseTensor:
         dims.pop()
     if len(dims) == t.rank:
         return t
-    return DenseTensor(Shape(tuple(dims)), t.data, t.strides[: len(dims)], t.offset)
+    return _relabel(t, dims, t.strides[: len(dims)])
+
+
+def _relabel(t: DenseTensor, dims: Sequence[int], strides: tuple) -> DenseTensor:
+    """``t``'s storage and offset under ``dims`` and ``strides``, which add
+    or remove trailing extent-1 dimensions and nothing else.
+
+    Where ``t`` carries its shape's own strides, ``strides`` equal the new
+    shape's own, so that tuple goes in instead and ``DenseTensor`` takes it
+    without running its tiling check again.
+    """
+    shape = Shape(dims)
+    if t.strides is t.shape._strides:
+        strides = shape._strides
+    return DenseTensor(shape, t.data, strides, t.offset)
 
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:

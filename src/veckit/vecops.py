@@ -15,7 +15,7 @@ import operator
 from itertools import accumulate
 
 from .blocking import block, transpose_outer, unblock
-from .core import DenseTensor, Shape, ShapeLike, as_shape
+from .core import DenseTensor, Shape, ShapeLike, _relabel, as_shape
 from .errors import DimError, ShapeError
 
 # rank-1 DenseTensor; its length always equals the source tensor's size
@@ -23,36 +23,17 @@ VecResult = DenseTensor
 
 
 def _append_trailing_axis(t: DenseTensor) -> DenseTensor:
-    """Add a trailing extent-1 dimension; the storage is shared.
-
-    A tensor that carries its shape's own strides gets the new shape's own,
-    which are the same strides extended by the size, so ``DenseTensor``
-    takes them without running its tiling check again.
-    """
-    shape = Shape(t.shape.dims + (1,))
-    if t.strides is t.shape._strides:
-        strides = shape._strides
-    else:
-        strides = t.strides + (t.size,)
-    return DenseTensor(shape, t.data, strides, t.offset)
+    """Add a trailing extent-1 dimension; the storage is shared."""
+    return _relabel(t, t.shape.dims + (1,), t.strides + (t.size,))
 
 
 def _drop_trailing_axis(t: DenseTensor) -> DenseTensor:
     """Remove exactly one trailing extent-1 dimension; raises
-    :class:`ShapeError` if the last extent is not 1 or the rank is 1.
-
-    As in :func:`_append_trailing_axis`, a shape's own strides pass on as
-    the new shape's own.
-    """
+    :class:`ShapeError` if the last extent is not 1 or the rank is 1."""
     dims = t.shape.dims
     if dims[-1] != 1:
         raise ShapeError(f"last extent {dims[-1]} is not 1")
-    shape = Shape(dims[:-1])
-    if t.strides is t.shape._strides:
-        strides = shape._strides
-    else:
-        strides = t.strides[:-1]
-    return DenseTensor(shape, t.data, strides, t.offset)
+    return _relabel(t, dims[:-1], t.strides[:-1])
 
 
 def shift(t: DenseTensor) -> DenseTensor:

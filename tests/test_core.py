@@ -10,7 +10,7 @@ import pytest
 
 import veckit as vk
 from veckit import DimError, ShapeError, StorageOrder
-from veckit.core import elements, gather
+from veckit.core import _relabel, elements, gather
 
 from conftest import GOLDEN_NESTED
 
@@ -276,6 +276,22 @@ def test_squeeze_trailing_drops_all_trailing_ones():
     s = vk.squeeze_trailing(t)
     assert s.shape.dims == (2,)
     assert list(s.data) == [5, 6]
+
+
+@pytest.mark.parametrize("order", list(StorageOrder), ids=lambda order: order.value)
+def test_relabel_passes_on_only_a_shapes_own_strides(order):
+    # first-index-fastest storage carries its shape's own strides, and adding
+    # or removing trailing extent-1 dimensions keeps it so: the relabel hands
+    # on the new shape's own tuple.  Row-major storage keeps its own strides
+    t = vk.make_tensor((2, 3), range(6), order)
+    up = _relabel(t, (2, 3, 1, 1), t.strides + (6, 6))
+    down = vk.squeeze_trailing(up)
+    assert vk.to_nested(up) == [[[[x]] for x in row] for row in vk.to_nested(t)]
+    assert down.shape.dims == (2, 3) and vk.to_nested(down) == vk.to_nested(t)
+    own = order is StorageOrder.FIRST_INDEX_FASTEST
+    assert (up.strides is up.shape._strides) == own
+    assert (down.strides is down.shape._strides) == own
+    assert up.data is t.data and down.data is t.data
 
 
 def test_squeeze_trailing_keeps_rank_one():

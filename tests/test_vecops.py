@@ -19,7 +19,7 @@ from veckit import (
     vec_inverse,
     vec_k,
 )
-from veckit.vecops import _append_trailing_axis, _drop_trailing_axis
+from veckit.vecops import _drop_trailing_axis
 
 from conftest import (
     GOLDEN_RVEC,
@@ -93,21 +93,6 @@ ORDERS = pytest.mark.parametrize(
 def test_drop_trailing_axis_refuses_a_last_extent_other_than_one(order):
     with pytest.raises(ShapeError, match=r"^last extent 3 is not 1$"):
         _drop_trailing_axis(vk.make_tensor((2, 3), range(6), order))
-
-
-@ORDERS
-def test_trailing_axis_relabels_pass_on_only_a_shapes_own_strides(order):
-    # first-index-fastest storage carries its shape's own strides, which
-    # each relabel hands on as the new shape's own; row-major keeps its own
-    t = vk.make_tensor((2, 3), range(6), order)
-    up = _append_trailing_axis(t)
-    down = _drop_trailing_axis(up)
-    assert vk.to_nested(up) == [[[x] for x in row] for row in vk.to_nested(t)]
-    assert down.shape.dims == (2, 3) and vk.to_nested(down) == vk.to_nested(t)
-    own = order is vk.StorageOrder.FIRST_INDEX_FASTEST
-    assert (up.strides is up.shape._strides) == own
-    assert (down.strides is down.shape._strides) == own
-    assert up.data is t.data and down.data is t.data
 
 
 @pytest.mark.parametrize(
