@@ -144,7 +144,7 @@ def block(t: DenseTensor, outer: ShapeLike) -> BlockTensor:
         strides + tuple(map(mul, sub, strides)),
         t.offset,
     )
-    grid = DenseTensor(outer, _views(block_shape, flat), outer._strides)
+    grid = _unchecked_view(outer, _views(block_shape, flat), outer._strides, 0)
     return _unchecked(block_shape, grid)
 
 
@@ -170,8 +170,9 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     dims[::2], dims[1::2] = sub, outer
     strides[::2] = block_shape._strides
     strides[1::2] = map(mul, grid.strides, repeat(block_shape.size))
+    # the gather lists exactly shape.size elements, first index fastest
     data = gather(flat, dims, strides, 0)
-    return DenseTensor(shape, data, shape._strides)
+    return _unchecked_view(shape, data, shape._strides, 0)
 
 
 def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
@@ -184,5 +185,5 @@ def transpose_outer(bt: BlockTensor, m: int, n: int) -> BlockTensor:
     if grid is bt.grid:
         return bt
     # the grid's storage and its order are untouched, so its blocks are
-    # still the one storage in order; ``transpose`` has checked the strides
+    # still the one storage in order
     return _unchecked(bt.block_shape, grid)

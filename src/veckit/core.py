@@ -317,9 +317,9 @@ def _unchecked_view(
     shape: Shape, data: tuple, strides: tuple, offset: int
 ) -> DenseTensor:
     """A :class:`DenseTensor` of these four slots as they are, checked by
-    nothing: for views whose layout the caller has just built itself, so the
+    nothing: for layouts the caller has just built or relabelled, so the
     strides must tile ``shape`` and ``offset + shape.size`` stay within
-    ``data``.  ``verify`` reads such views against the source."""
+    ``data``.  ``verify`` reads such tensors against the source."""
     t = DenseTensor.__new__(DenseTensor)
     _set_shape(t, shape)
     _set_data(t, data)
@@ -370,7 +370,8 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     dims, strides = list(t.shape.dims), list(t.strides)
     dims[a], dims[b] = dims[b], dims[a]
     strides[a], strides[b] = strides[b], strides[a]
-    return DenseTensor(Shape(tuple(dims)), t.data, tuple(strides), t.offset)
+    # swapping two tiling strides with their extents tiles the new shape
+    return _unchecked_view(Shape(tuple(dims)), t.data, tuple(strides), t.offset)
 
 
 def squeeze_trailing(t: DenseTensor) -> DenseTensor:
@@ -392,13 +393,13 @@ def _relabel(t: DenseTensor, dims: Sequence[int], strides: tuple) -> DenseTensor
     or remove trailing extent-1 dimensions and nothing else.
 
     Where ``t`` carries its shape's own strides, ``strides`` equal the new
-    shape's own, so that tuple goes in instead and ``DenseTensor`` takes it
-    without running its tiling check again.
+    shape's own, so that tuple goes in instead.
     """
     shape = Shape(dims)
     if t.strides is t.shape._strides:
         strides = shape._strides
-    return DenseTensor(shape, t.data, strides, t.offset)
+    # an extent-1 dim takes any stride, so the strides still tile
+    return _unchecked_view(shape, t.data, strides, t.offset)
 
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:

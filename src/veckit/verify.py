@@ -5,12 +5,12 @@ Each check is a generator over its own cases, drawn from
 or a counterexample's text, after which it is not resumed.  :func:`run_all`
 numbers the cases, so a failure report names the seed and case number that
 replay it exactly, and checks stay independent of execution order.  The
-checks cover the golden worked example, the shift involution, every block
-view of a grid with two wide dims and the grid transpose of those dims,
-agreement of the block-composition and index-arithmetic vectorization
-paths, every round trip, the index-map bijection and its digit
-decomposition, the shape-collapse witness, the Kronecker product
-identities, and the closed-form 2-D inverse.
+checks cover the golden worked example, the shift involution and the split
+of a strided tensor, every block view of a grid with two wide dims and the
+grid transpose of those dims, agreement of the block-composition and
+index-arithmetic vectorization paths, every round trip, the index-map
+bijection and its digit decomposition, the shape-collapse witness, the
+Kronecker product identities, and the closed-form 2-D inverse.
 """
 
 from __future__ import annotations
@@ -166,15 +166,24 @@ def _wide_grid_transpose(rng, cfg):
 
 
 def _check_involution(rng, cfg):
-    # the grid transposes draw from a stream of their own, so the shift
-    # cases draw the tensors they always have
+    # the grid transposes and the splits draw from streams of their own, so
+    # the shift cases draw the tensors they always have
     grids = random.Random(f"{cfg['seed']}:shift-involution:grid")
+    splits = random.Random(f"{cfg['seed']}:shift-involution:split")
     for _ in range(cfg["cases"]):
         shape = _random_shape(rng, cfg["max_rank"], cfg["max_extent"], min_rank=2)
         t = _random_tensor(rng, shape)
         back = vecops.shift_inverse(vecops.shift(t), shape.dims[-1])
         if not tensors_equal(back, t):
             yield f"shift then inverse changed {_describe(t)} into {_describe(back)}"
+        # t may be strided, which no shift result is: (.., a, b) of the
+        # split reads t at (.., a + b * last / e)
+        last = shape.dims[-1]
+        e = splits.choice(_divisors(last))
+        split = vecops.shift_inverse(t, e)
+        for p, x in zip(iter_indices(split.shape), elements(split)):
+            if x != t.get((*p[:-2], p[-2] + last // e * p[-1])):
+                yield f"last extent of {_describe(t)} split by {e}: {_describe(split)}"
         if cfg["max_extent"] > 1:
             problem = _wide_grid_transpose(grids, cfg)
             if problem is not None:

@@ -16,6 +16,12 @@ canonical strides, so only such a hand-built grid reaches the
 checked twice: as a tensor of its own storage, and as a view placed at a
 nonzero offset inside a longer storage of other values.
 
+The relabels build their results unchecked: ``transpose`` of every dim
+pair, ``reverse_dims``, a trailing extent-1 dim added and dropped, and
+``squeeze_trailing``.  So each relabel of each layout is rebuilt here
+through the checking ``DenseTensor`` constructor, which must accept its
+strides and offset, and read index by index against the source.
+
 Every ``BlockTensor`` holds its blocks as first-index-fastest views of one
 storage at offsets 0, n, 2n, ... in grid storage order, a storage that
 holds nothing else, and ``unblock`` reads that storage without visiting
@@ -41,8 +47,9 @@ from veckit import (
     unblock,
     write_tensor,
 )
-from veckit.core import elements, iter_indices
+from veckit.core import elements, iter_indices, squeeze_trailing, transpose
 from veckit.indexmap import vec_by_index
+from veckit.vecops import _append_trailing_axis, _drop_trailing_axis, reverse_dims
 
 # distinct layouts per rank; 728 in all
 LAYOUTS = {1: 3, 2: 13, 3: 79, 4: 633}
@@ -95,6 +102,21 @@ def _same(x, y):
     assert vk.tensors_equal(x, y)
 
 
+def _relabels(t):
+    """Each unchecked relabel of ``t``, with the source index of each of its
+    indices."""
+    k = t.rank
+    for m, n in itertools.combinations(range(k), 2):
+        swap = list(range(k))
+        swap[m], swap[n] = n, m
+        yield transpose(t, m + 1, n + 1), lambda p, swap=swap: [p[d] for d in swap]
+    yield reverse_dims(t), lambda p: p[::-1]
+    up = _append_trailing_axis(t)
+    yield up, lambda p: p[:-1]
+    yield _drop_trailing_axis(up), lambda p: p
+    yield squeeze_trailing(t), lambda p: (*p, *[0] * (k - len(p)))
+
+
 @pytest.mark.parametrize("rank", sorted(LAYOUTS))
 def test_every_storage_order_matches_the_index_route(tmp_path, rank):
     path = tmp_path / "t.json"
@@ -114,6 +136,13 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
             whole = BlockTensor(t.shape, grid)
             _one_storage(whole)
             _same(unblock(whole), t)
+            # the relabels build unchecked; the checking constructor must
+            # take what they build, and each index read the source's
+            for u, source in _relabels(t):
+                checked = DenseTensor(u.shape, u.data, u.strides, u.offset)
+                assert checked.data is t.data
+                for p in iter_indices(u.shape):
+                    assert checked.get(p) == t.get(source(p))
     assert count == LAYOUTS[rank]
 
 

@@ -386,8 +386,8 @@ def test_verify_catches_a_reverse_dims_that_keeps_the_strides(tmp_path):
     # over the old strides misplace elements or fail to tile
     _verify_mutant(
         tmp_path,
-        "t.data, t.strides[::-1], t.offset)",
-        "t.data, t.strides, t.offset)",
+        "dims, strides = t.shape.dims[::-1], t.strides[::-1]",
+        "dims, strides = t.shape.dims[::-1], t.strides",
         max_rank=3,
         module="vecops.py",
     )
@@ -408,16 +408,21 @@ def test_verify_catches_a_wrong_digit_in_the_index_route(tmp_path):
 
 # core._relabel passes a shape's own strides on as the new shape's own;
 # turned around, a strided input takes canonical strides, and a canonical
-# one an equal copy.  Inside verify this is an equivalent mutant: there it
-# only ever relabels canonical results, of unblock and of shift.  The
-# relabel test of test_core.py fails in both storage orders
+# one an equal copy.  verify splits the last extent of its strided draws,
+# so the first shows there; the relabel test of test_core.py fails in both
+# storage orders
+_TURNED_RELABEL = (
+    "if t.strides is t.shape._strides:",
+    "if t.strides is not t.shape._strides:",
+)
+
+
+def test_verify_catches_a_turned_canonical_test_in_the_relabel(tmp_path):
+    _verify_mutant(tmp_path, *_TURNED_RELABEL, max_rank=3)
+
+
 def test_the_relabel_test_catches_a_turned_canonical_test(tmp_path):
-    copy_root = _mutated_copy(
-        tmp_path,
-        "core.py",
-        "if t.strides is t.shape._strides:",
-        "if t.strides is not t.shape._strides:",
-    )
+    copy_root = _mutated_copy(tmp_path, "core.py", *_TURNED_RELABEL)
     tests = Path(__file__).with_name("test_core.py")
     args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", str(tests), "-k", "relabel"]
     proc = _python(args, copy_root)
