@@ -9,7 +9,7 @@ the shifting operation builds on.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import mul
 
 from .core import (
@@ -18,7 +18,6 @@ from .core import (
     ShapeLike,
     as_shape,
     gather,
-    storage_strides,
     transpose,
     _read_only,
     _slot_setters,
@@ -37,10 +36,10 @@ class BlockTensor:
     elements: it is their concatenation, so :func:`unblock` reads it without
     visiting the blocks.  Construction checks that the outer and block ranks
     agree and that every block has exactly ``block_shape``; the grid's own
-    length check matches the block count to the outer size.  A grid whose
-    blocks are not in that form is concatenated once and rebuilt over views
-    of the result, with its shape and strides kept.  Immutable, like the
-    blocks it holds.
+    length check matches the block count to the outer size.  It then
+    concatenates the blocks, one gather each, and rebuilds the grid over
+    views of the result with its shape and strides kept, whatever form the
+    blocks had.  Immutable, like the blocks it holds.
     """
 
     __slots__ = ("block_shape", "grid")
@@ -50,26 +49,18 @@ class BlockTensor:
             raise BlockError(
                 f"outer rank {grid.rank} != block rank {block_shape.rank}"
             )
-        # the blocks in grid storage order: the grid's own window of storage
-        blocks = grid.data[grid.offset : grid.offset + grid.size]
-        for b in blocks:
-            if b.shape.dims != block_shape.dims:
+        # the blocks in grid storage order, the grid's own window of storage,
+        # end to end in one new storage
+        dims = block_shape.dims
+        runs = []
+        for b in grid.data[grid.offset : grid.offset + grid.size]:
+            if b.shape.dims != dims:
                 raise BlockError(
-                    f"block shape {list(b.shape.dims)} differs from "
-                    f"{list(block_shape.dims)}"
+                    f"block shape {list(b.shape.dims)} differs from {list(dims)}"
                 )
-        # strides compared by value: a copied block carries an equal tuple
-        canon = storage_strides(block_shape)
-        n = block_shape.size
-        flat = blocks[0].data
-        if len(flat) != n * len(blocks) or any(
-            b.data is not flat or b.strides != canon or b.offset != i
-            for b, i in zip(blocks, count(0, n))
-        ):
-            dims = block_shape.dims
-            runs = [gather(b.data, dims, b.strides, b.offset) for b in blocks]
-            flat = tuple(chain.from_iterable(runs))
-            grid = DenseTensor(grid.shape, _views(block_shape, flat), grid.strides)
+            runs.append(gather(b.data, dims, b.strides, b.offset))
+        flat = tuple(chain.from_iterable(runs))
+        grid = DenseTensor(grid.shape, _views(block_shape, flat), grid.strides)
         _set_block_shape(self, block_shape)
         _set_grid(self, grid)
 

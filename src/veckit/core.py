@@ -116,6 +116,8 @@ class Shape:
     def extent(self, n: int) -> int:
         """Extent of dimension ``n`` (1-indexed); ``extent(0)`` is the
         conventional 1 used by the mixed-radix stride products."""
+        if type(n) is not int:
+            _check_dim_numbers(n)
         if n == 0:
             return 1
         if not 1 <= n <= self.rank:
@@ -127,6 +129,15 @@ class Shape:
 
 
 _set_dims, _set_size, _set_ff_strides = _slot_setters(Shape)
+
+
+def _check_dim_numbers(*ns) -> None:
+    """Refuse a dimension number that is not an integer, as extents are: a
+    bool would count as 0 or 1, and a float index no list."""
+    for n in ns:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DimError(f"dimension {n!r} is not an integer")
+
 
 # a forward reference: typing caches Union[Shape, ...] with the class in its
 # key, which would keep every re-imported copy of this module alive
@@ -362,6 +373,8 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     exchanged, over the same storage; ``transpose(t, m, m)`` is the identity.
     """
     k = t.rank
+    if type(m) is not int or type(n) is not int:
+        _check_dim_numbers(m, n)
     if not 1 <= m <= k or not 1 <= n <= k:
         raise DimError(f"dimensions ({m}, {n}) out of range for rank {k}")
     if m == n:
@@ -370,8 +383,7 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     dims, strides = list(t.shape.dims), list(t.strides)
     dims[a], dims[b] = dims[b], dims[a]
     strides[a], strides[b] = strides[b], strides[a]
-    # swapping two tiling strides with their extents tiles the new shape
-    return _unchecked_view(Shape(tuple(dims)), t.data, tuple(strides), t.offset)
+    return _relabel(t, dims, tuple(strides))
 
 
 def squeeze_trailing(t: DenseTensor) -> DenseTensor:
@@ -389,17 +401,11 @@ def squeeze_trailing(t: DenseTensor) -> DenseTensor:
 
 
 def _relabel(t: DenseTensor, dims: Sequence[int], strides: tuple) -> DenseTensor:
-    """``t``'s storage and offset under ``dims`` and ``strides``, which add
-    or remove trailing extent-1 dimensions and nothing else.
-
-    Where ``t`` carries its shape's own strides, ``strides`` equal the new
-    shape's own, so that tuple goes in instead.
-    """
-    shape = Shape(dims)
-    if t.strides is t.shape._strides:
-        strides = shape._strides
-    # an extent-1 dim takes any stride, so the strides still tile
-    return _unchecked_view(shape, t.data, strides, t.offset)
+    """``t``'s storage and offset under ``dims`` and ``strides``, built
+    unchecked: every caller permutes ``t``'s extents with their strides, or
+    adds or drops extent-1 dimensions, which take any stride, so the
+    strides still tile the new shape."""
+    return _unchecked_view(Shape(dims), t.data, strides, t.offset)
 
 
 def tensors_equal(a: DenseTensor, b: DenseTensor) -> bool:

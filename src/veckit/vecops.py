@@ -15,7 +15,7 @@ import operator
 from itertools import accumulate
 
 from .blocking import block, transpose_outer, unblock
-from .core import DenseTensor, Shape, ShapeLike, _relabel, _unchecked_view, as_shape
+from .core import DenseTensor, Shape, ShapeLike, _relabel, as_shape
 from .errors import DimError, ShapeError
 
 # rank-1 DenseTensor; its length always equals the source tensor's size
@@ -117,9 +117,7 @@ def reverse_dims(t: DenseTensor) -> DenseTensor:
     equals the source element at the original tuple."""
     if t.rank == 1:
         return t
-    # reversed tiling strides with their extents tile the reversed shape
-    dims, strides = t.shape.dims[::-1], t.strides[::-1]
-    return _unchecked_view(Shape(dims), t.data, strides, t.offset)
+    return _relabel(t, t.shape.dims[::-1], t.strides[::-1])
 
 
 def rvec_k(t: DenseTensor) -> VecResult:

@@ -142,6 +142,8 @@ def test_transpose_outer_rejects_out_of_range(golden):
         transpose_outer(bt, 0, 3)
     with pytest.raises(DimError):
         transpose_outer(bt, 1, 4)
+    with pytest.raises(DimError, match="dimension 1.0 is not an integer"):
+        transpose_outer(bt, 1.0, 2)
 
 
 def test_unblock_concatenates_views_listed_out_of_offset_order():
@@ -205,15 +207,19 @@ def test_block_tensor_rebuilds_a_grid_that_is_not_one_storage(case):
     s = vk.Shape((2, 2))
     pair = _NOT_ONE_STORAGE[case](s)
     grid = vk.make_tensor((1, 2), pair, StorageOrder.LAST_INDEX_FASTEST)
+
+    def check(bt):
+        assert (bt.outer_shape, bt.grid.strides) == (grid.shape, grid.strides)
+        blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
+        assert [elements(b) for b in blocks] == [elements(b) for b in pair]
+        assert [(b.strides, b.offset) for b in blocks] == [((1, 2), 0), ((1, 2), 4)]
+        assert blocks[1].data is blocks[0].data
+        assert len(blocks[0].data) == 8
+
     bt = BlockTensor(s, grid)
-    assert (bt.outer_shape, bt.grid.strides) == (grid.shape, grid.strides)
-    blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
-    assert [elements(b) for b in blocks] == [elements(b) for b in pair]
-    assert [(b.strides, b.offset) for b in blocks] == [((1, 2), 0), ((1, 2), 4)]
-    assert blocks[1].data is blocks[0].data
-    assert len(blocks[0].data) == 8
-    # a grid already in that form is kept as it is
-    assert BlockTensor(s, bt.grid).grid is bt.grid
+    check(bt)
+    # a grid already in that form rebuilds to an equal grid
+    check(BlockTensor(s, bt.grid))
 
 
 def test_unblock_reads_no_block_after_the_first():

@@ -11,6 +11,7 @@ import pytest
 import veckit as vk
 from veckit import DimError, ShapeError, StorageOrder
 from veckit.core import _relabel, elements, gather
+from veckit.vecops import _append_trailing_axis, _drop_trailing_axis
 
 from conftest import GOLDEN_NESTED
 
@@ -271,6 +272,21 @@ def test_transpose_rejects_out_of_range(golden):
         vk.transpose(golden, 1, 4)
 
 
+@pytest.mark.parametrize("m, n", [(True, 2), (1.0, 2), (2.0, 2.0), (1, "2")])
+def test_transpose_refuses_dimension_numbers_that_are_not_integers(golden, m, n):
+    # True would swap dims 1 and 2, and 2.0, 2.0 would return golden itself
+    with pytest.raises(DimError, match="is not an integer"):
+        vk.transpose(golden, m, n)
+
+
+def test_shape_extent_refuses_dimension_numbers_that_are_not_integers():
+    s = vk.Shape((2, 3))
+    for n in (True, False, 1.0, None):
+        with pytest.raises(DimError) as info:
+            s.extent(n)
+        assert str(info.value) == f"dimension {n!r} is not an integer"
+
+
 def test_squeeze_trailing_drops_all_trailing_ones():
     t = vk.make_tensor((2, 1, 1), [5, 6])
     s = vk.squeeze_trailing(t)
@@ -279,19 +295,22 @@ def test_squeeze_trailing_drops_all_trailing_ones():
 
 
 @pytest.mark.parametrize("order", list(StorageOrder), ids=lambda order: order.value)
-def test_relabel_passes_on_only_a_shapes_own_strides(order):
-    # first-index-fastest storage carries its shape's own strides, and adding
-    # or removing trailing extent-1 dimensions keeps it so: the relabel hands
-    # on the new shape's own tuple.  Row-major storage keeps its own strides
+def test_relabel_passes_on_the_strides_it_is_given(order):
+    # adding or removing trailing extent-1 dimensions keeps the storage, the
+    # offset and the strides given, canonical or not; the trailing-axis
+    # steps of a shift hand on the input's own strides
     t = vk.make_tensor((2, 3), range(6), order)
-    up = _relabel(t, (2, 3, 1, 1), t.strides + (6, 6))
+    view = vk.DenseTensor(t.shape, (-1,) + t.data, t.strides, 1)
+    up = _relabel(view, (2, 3, 1, 1), view.strides + (6, 6))
     down = vk.squeeze_trailing(up)
     assert vk.to_nested(up) == [[[[x]] for x in row] for row in vk.to_nested(t)]
     assert down.shape.dims == (2, 3) and vk.to_nested(down) == vk.to_nested(t)
-    own = order is StorageOrder.FIRST_INDEX_FASTEST
-    assert (up.strides is up.shape._strides) == own
-    assert (down.strides is down.shape._strides) == own
-    assert up.data is t.data and down.data is t.data
+    assert up.strides == t.strides + (6, 6) and down.strides == t.strides
+    one_more = _append_trailing_axis(view)
+    assert one_more.strides == t.strides + (6,)
+    assert _drop_trailing_axis(one_more).strides == t.strides
+    for u in (up, down, one_more):
+        assert u.data is view.data and u.offset == 1
 
 
 def test_squeeze_trailing_keeps_rank_one():

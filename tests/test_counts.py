@@ -38,7 +38,8 @@ per op, with the same copying counts.
 No copy happens outside a gather.  ``block`` hands out its blocks as views
 of its one gather's tuple, at offsets 0, n, 2n, ...; ``unblock`` takes that
 tuple as the blocks' concatenation, since they are listed in grid storage
-order, and concatenates only a grid built by hand.  So a shift of a tensor
+order, and never visits a later block.  Only the ``BlockTensor`` constructor
+concatenates, and only a grid built by hand.  So a shift of a tensor
 stored in the order asked for copies nothing, and storage sharing is
 counted too: such a flattening, and every inverse of a vector, returns its
 input's own storage object.

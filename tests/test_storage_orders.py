@@ -26,9 +26,9 @@ Every ``BlockTensor`` holds its blocks as first-index-fastest views of one
 storage at offsets 0, n, 2n, ... in grid storage order, a storage that
 holds nothing else, and ``unblock`` reads that storage without visiting
 the blocks.  So every grid ``block`` builds from each layout, and its grid
-transpose, must be in that form, and a hand-built grid that is not (the
-one-block grid of a strided or placed layout, or ``block``'s own views
-listed last grid index fastest) must be brought into it on construction.
+transpose, must be in that form, and so must every hand-built grid, which
+the constructor concatenates (the one-block grid of a strided or placed
+layout, or ``block``'s own views listed last grid index fastest).
 """
 
 import itertools

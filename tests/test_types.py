@@ -36,6 +36,10 @@ def _values():
         "shape": vk.Shape((2, 3, 4)),
         **_tensors(),
         "block": vk.block(_tensors()["row-major"], (2, 1, 2)),
+        # two wide grid dims swapped: grid strides (6, 2, 1), not canonical
+        "transposed-block": vk.transpose_outer(
+            vk.block(_tensors()["row-major"], (2, 3, 2)), 1, 3
+        ),
         "check": report.checks[1],
         "report": report,
     }
@@ -386,8 +390,8 @@ def test_verify_catches_a_reverse_dims_that_keeps_the_strides(tmp_path):
     # over the old strides misplace elements or fail to tile
     _verify_mutant(
         tmp_path,
-        "dims, strides = t.shape.dims[::-1], t.strides[::-1]",
-        "dims, strides = t.shape.dims[::-1], t.strides",
+        "_relabel(t, t.shape.dims[::-1], t.strides[::-1])",
+        "_relabel(t, t.shape.dims[::-1], t.strides)",
         max_rank=3,
         module="vecops.py",
     )
@@ -406,27 +410,26 @@ def test_verify_catches_a_wrong_digit_in_the_index_route(tmp_path):
     )
 
 
-# core._relabel passes a shape's own strides on as the new shape's own;
-# turned around, a strided input takes canonical strides, and a canonical
-# one an equal copy.  verify splits the last extent of its strided draws,
-# so the first shows there; the relabel test of test_core.py fails in both
-# storage orders
-_TURNED_RELABEL = (
-    "if t.strides is t.shape._strides:",
-    "if t.strides is not t.shape._strides:",
+# core._relabel keeps the strides it is given; a trailing-axis step that
+# hands a strided input canonical strides instead reads its elements out of
+# order.  verify splits the last extent of its strided draws, so it shows
+# there; the relabel test of test_core.py fails in row-major order
+_CANONICAL_TRAILING_AXIS = (
+    "t.strides + (t.size,)",
+    "t.shape._strides + (t.size,)",
 )
 
 
-def test_verify_catches_a_turned_canonical_test_in_the_relabel(tmp_path):
-    _verify_mutant(tmp_path, *_TURNED_RELABEL, max_rank=3)
+def test_verify_catches_a_trailing_axis_with_canonical_strides(tmp_path):
+    _verify_mutant(tmp_path, *_CANONICAL_TRAILING_AXIS, max_rank=3, module="vecops.py")
 
 
-def test_the_relabel_test_catches_a_turned_canonical_test(tmp_path):
-    copy_root = _mutated_copy(tmp_path, "core.py", *_TURNED_RELABEL)
+def test_the_relabel_test_catches_a_trailing_axis_with_canonical_strides(tmp_path):
+    copy_root = _mutated_copy(tmp_path, "vecops.py", *_CANONICAL_TRAILING_AXIS)
     tests = Path(__file__).with_name("test_core.py")
     args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", str(tests), "-k", "relabel"]
     proc = _python(args, copy_root)
-    assert re.search(r"^2 failed", proc.stdout, re.MULTILINE), proc.stdout
+    assert re.search(r"^1 failed, 1 passed", proc.stdout, re.MULTILINE), proc.stdout
 
 
 def test_a_reader_that_lets_nan_through_shows_in_the_error_line(tmp_path):
