@@ -151,15 +151,28 @@ def as_shape(value: ShapeLike) -> Shape:
     return Shape(tuple(value))
 
 
+def _last_index_fastest(order: StorageOrder) -> bool:
+    """Whether ``order`` lists the last index fastest: the one order test of
+    the package, which refuses anything but a :class:`StorageOrder` member."""
+    if order is StorageOrder.LAST_INDEX_FASTEST:
+        return True
+    if order is not StorageOrder.FIRST_INDEX_FASTEST:
+        raise ShapeError(f"order {order!r} is not a StorageOrder member")
+    return False
+
+
 def storage_strides(
     shape: Shape, order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST
 ) -> tuple[int, ...]:
     """Per-dimension offsets into contiguous flat storage in the given order.
 
-    First index fastest returns the tuple the shape computed once, the same
-    object on every call, which :class:`DenseTensor` accepts unchecked.
+    ``order`` must be a :class:`StorageOrder` member; anything else, the
+    file tags ``"row-major"`` and ``"column-major"`` too, raises
+    :class:`ShapeError`.  First index fastest returns the tuple the shape
+    computed once, the same object on every call, which
+    :class:`DenseTensor` accepts unchecked.
     """
-    if order is not StorageOrder.LAST_INDEX_FASTEST:
+    if not _last_index_fastest(order):
         return shape._strides
     strides = tuple(accumulate(shape.dims[:0:-1], operator.mul, initial=1))
     return strides[::-1]
@@ -209,7 +222,7 @@ def iter_indices(
 ) -> Iterator[IndexTuple]:
     """Every valid index tuple of ``shape``, listed in the given order."""
     dims = as_shape(shape).dims
-    if order is StorageOrder.LAST_INDEX_FASTEST:
+    if _last_index_fastest(order):
         return product(*map(range, dims))
     return (rev[::-1] for rev in product(*map(range, reversed(dims))))
 
@@ -225,6 +238,18 @@ def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
         if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < m:
             raise IndexError(f"index {idx} out of range for shape {list(shape.dims)}")
     return idx
+
+
+def _check_vector(a: DenseTensor, target: Shape | None = None) -> None:
+    """Refuse ``a`` unless it is rank 1 and, given a ``target``, has exactly
+    its size: the one vector check of the inverses; raises :class:`ShapeError`."""
+    if a.rank != 1:
+        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
+    if target is not None and a.size != target.size:
+        raise ShapeError(
+            f"vector of length {a.size} cannot fill shape "
+            f"{list(target.dims)} of size {target.size}"
+        )
 
 
 class DenseTensor:
@@ -344,7 +369,12 @@ def make_tensor(
     data: Sequence[Scalar],
     order: StorageOrder = StorageOrder.FIRST_INDEX_FASTEST,
 ) -> DenseTensor:
-    """Build a tensor from flat data laid out in the given storage order."""
+    """Build a tensor from flat data laid out in the given storage order.
+
+    ``order`` must be a :class:`StorageOrder` member, as for
+    :func:`storage_strides`; ``"row-major"`` and ``"column-major"`` are tags
+    of the tensor file format only, and raise :class:`ShapeError` here.
+    """
     shape = as_shape(shape)
     return DenseTensor(shape, tuple(data), storage_strides(shape, order))
 
@@ -356,7 +386,7 @@ def elements(
     tuple, which is ``t.data`` itself when the storage is exactly those
     elements in that order."""
     dims, strides = t.shape.dims, t.strides
-    if order is StorageOrder.LAST_INDEX_FASTEST:
+    if _last_index_fastest(order):
         dims, strides = dims[::-1], strides[::-1]
     return gather(t.data, dims, strides, t.offset)
 

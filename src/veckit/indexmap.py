@@ -19,10 +19,10 @@ from .core import (
     IndexTuple,
     Shape,
     ShapeLike,
+    _check_vector,
     as_shape,
     check_index,
 )
-from .errors import ShapeError
 
 # linear position of an element in the vectorized order; 0 <= m < size
 LinearIndex = int
@@ -49,8 +49,7 @@ def linear_index(idx: IndexTuple, shape: ShapeLike) -> LinearIndex:
 def tuple_index(m: LinearIndex, shape: ShapeLike) -> IndexTuple:
     """Index tuple at linear position ``m``; inverse of :func:`linear_index`."""
     shape = as_shape(shape)
-    if not 0 <= m < shape.size:
-        raise IndexError(f"linear index {m} out of range for size {shape.size}")
+    check_index(Shape((shape.size,)), (m,))
     return tuple(
         (m // s) % ext for s, ext in zip(index_strides(shape), shape.dims)
     )
@@ -61,9 +60,11 @@ def decompose_check(m: LinearIndex, shape: ShapeLike) -> bool:
 
     Reconstructs ``m`` as ``sum(stride_l * ((m // stride_l) % M_l))``, the
     identity that makes each braced digit a valid index component.  Holds
-    for every in-range ``m``.
+    for every in-range ``m``; one out of range raises ``IndexError``, as for
+    :func:`tuple_index`.
     """
     shape = as_shape(shape)
+    check_index(Shape((shape.size,)), (m,))
     total = 0
     for s, ext in zip(index_strides(shape), shape.dims):
         total += s * ((m // s) % ext)
@@ -116,12 +117,6 @@ def unvec_by_index(a: DenseTensor, target: ShapeLike) -> DenseTensor:
     inverse of :func:`vec_by_index`.
     """
     target = as_shape(target)
-    if a.rank != 1:
-        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    if a.shape.size != target.size:
-        raise ShapeError(
-            f"vector of length {a.shape.size} cannot fill shape "
-            f"{list(target.dims)} of size {target.size}"
-        )
+    _check_vector(a, target)
     # a rank-1 tensor's data is always in logical order
     return DenseTensor(target, a.data, index_strides(target), a.offset)

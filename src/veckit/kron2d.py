@@ -20,7 +20,10 @@ from math import isfinite
 from .core import (
     _MAX_BUILT_ELEMENTS,
     DenseTensor,
+    Shape,
     StorageOrder,
+    _check_vector,
+    check_index,
     elements,
     make_tensor,
     to_nested,
@@ -40,25 +43,22 @@ def _dims2(x: DenseTensor, what: str) -> tuple[int, int]:
 
 
 def identity_matrix(n: int) -> Matrix2D:
-    """The n x n identity."""
-    if n < 1:
-        raise ShapeError(f"identity size must be positive, got {n}")
-    data = [0] * (n * n)
+    """The n x n identity; ``n`` must be a positive ``int`` (:class:`ShapeError`)."""
+    shape = Shape((n, n))
+    data = [0] * shape.size
     data[:: n + 1] = [1] * n
-    return make_tensor((n, n), data)
+    return make_tensor(shape, data)
 
 
 def as_column(a: VecResult) -> Matrix2D:
     """A length-M vector as an M x 1 matrix sharing the vector's storage."""
-    if a.rank != 1:
-        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
+    _check_vector(a)
     return make_tensor((a.size, 1), elements(a))
 
 
 def as_row(a: VecResult) -> Matrix2D:
     """A length-N vector as a 1 x N matrix sharing the vector's storage."""
-    if a.rank != 1:
-        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
+    _check_vector(a)
     return make_tensor((1, a.size), elements(a))
 
 
@@ -97,10 +97,11 @@ def kronecker(x: Matrix2D, y: Matrix2D) -> Matrix2D:
 
 
 def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
-    """The k-th column (0-based) of ``x`` as an M x 1 matrix."""
+    """The k-th column (0-based) of ``x`` as an M x 1 matrix; a ``k`` that is
+    not an ``int`` in ``0 .. N-1`` raises ``IndexError``."""
     m, n = _dims2(x, "matrix")
-    if not 0 <= k < n:
-        raise IndexError(f"column {k} out of range for {m}x{n}")
+    # column k exists exactly when (0, k) is an index of x
+    check_index(x.shape, (0, k))
     return make_tensor((m, 1), elements(x)[k * m : (k + 1) * m])
 
 
@@ -126,18 +127,16 @@ def kron_inverse_2d(a: VecResult, M: int, N: int) -> Matrix2D:
     factor stacks shifted copies of ``a`` into an M*N^2 x N matrix, the
     left factor is the M x M*N^2 selector that folds them back.  Equal to
     the index-map inverse on every finite input.  Raises :class:`ShapeError`
-    before allocating when either factor would exceed 2^21 elements, or
+    for extents that are not positive ``int``s, for a vector that is not
+    rank 1 or not of size ``M*N``, before allocating when either factor
+    would exceed 2^21 elements, or
     for a float NaN or infinity, which the selector's zeros would spread
     (0 * NaN and 0 * inf are NaN).  Ints of any size are finite.
     """
-    if M < 1 or N < 1:
-        raise ShapeError(f"target extents must be positive, got {M}x{N}")
-    if a.rank != 1:
-        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    if a.shape.size != M * N:
-        raise ShapeError(
-            f"vector of length {a.shape.size} cannot fill a {M}x{N} matrix"
-        )
+    target = Shape((M, N))
+    _check_vector(a)
+    if a.size != target.size:
+        raise ShapeError(f"vector of length {a.size} cannot fill a {M}x{N} matrix")
     _check_closed_form_size(M, N)
     for i, v in enumerate(elements(a)):
         if isinstance(v, float) and not isfinite(v):

@@ -15,7 +15,7 @@ import operator
 from itertools import accumulate
 
 from .blocking import block, transpose_outer, unblock
-from .core import DenseTensor, Shape, ShapeLike, _relabel, as_shape
+from .core import DenseTensor, Shape, ShapeLike, _check_vector, _relabel, as_shape
 from .errors import DimError, ShapeError
 
 # rank-1 DenseTensor; its length always equals the source tensor's size
@@ -63,10 +63,12 @@ def shift_inverse(t: DenseTensor, restored_last_extent: int) -> DenseTensor:
     The last extent ``L`` becomes ``(L / E, E)`` with
     ``E = restored_last_extent``, undoing the index merge of :func:`shift`:
     ``shift_inverse(shift(t), M_k) == t``.  The rank always grows by one.
+    Raises :class:`ShapeError` when ``E`` is not a positive ``int`` or does
+    not divide ``L``.
     """
+    # the grid first: its Shape refuses an extent that is not a positive int
+    outer = Shape((1,) * (t.rank - 1) + (restored_last_extent, 1))
     last = t.shape.dims[-1]
-    if restored_last_extent < 1:
-        raise ShapeError(f"restored extent must be positive, got {restored_last_extent}")
     if last % restored_last_extent != 0:
         raise ShapeError(
             f"restored extent {restored_last_extent} does not divide "
@@ -74,7 +76,6 @@ def shift_inverse(t: DenseTensor, restored_last_extent: int) -> DenseTensor:
         )
     t1 = _append_trailing_axis(t)
     k1 = t1.rank
-    outer = Shape((1,) * (k1 - 2) + (restored_last_extent, 1))
     return unblock(transpose_outer(block(t1, outer), k1 - 1, k1))
 
 
@@ -97,13 +98,7 @@ def vec_inverse(a: VecResult, target: ShapeLike) -> DenseTensor:
     down to ``M_k``.
     """
     target = as_shape(target)
-    if a.rank != 1:
-        raise ShapeError(f"expected a rank-1 vector, got rank {a.rank}")
-    if a.shape.size != target.size:
-        raise ShapeError(
-            f"vector of length {a.shape.size} cannot fill shape "
-            f"{list(target.dims)} of size {target.size}"
-        )
+    _check_vector(a, target)
     # every split extent M_{i+1} * ... * M_k from one suffix-product pass
     t = a
     for extent in reversed(list(accumulate(target.dims[:0:-1], operator.mul))):

@@ -374,16 +374,17 @@ def run_all(
     ``max_rank`` and ``max_extent`` bound the randomly drawn shapes
     (checks that need rank 2 enforce their own floor), ``cases`` is the
     per-check case budget, and ``seed`` makes the whole run reproducible.
-    Raises :class:`ShapeError` before any check runs when ``max_rank`` is
+    Raises :class:`ShapeError` before any check runs when a bound is not
+    an ``int`` (a ``bool`` neither) or is below 1, when ``max_rank`` is
     over 21 or a drawn tensor (``max_extent ** max_rank``) or Kronecker
     factor (``max(2, max_extent) ** 4``) could exceed 2^21 elements.
     """
-    if max_rank < 1:
-        raise ShapeError(f"max rank must be positive, got {max_rank}")
-    if max_extent < 1:
-        raise ShapeError(f"max extent must be positive, got {max_extent}")
-    if cases < 1:
-        raise ShapeError(f"case budget must be positive, got {cases}")
+    bounds = {"max rank": max_rank, "max extent": max_extent, "case budget": cases}
+    for what, value in bounds.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ShapeError(f"{what} {value!r} is not an integer")
+        if value < 1:
+            raise ShapeError(f"{what} must be positive, got {value}")
     # the rank first, so that no huge power is formed
     if max_rank > _MAX_RANK:
         raise ShapeError(f"max rank {max_rank} is over the limit of {_MAX_RANK}")
