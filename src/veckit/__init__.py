@@ -16,10 +16,8 @@ from .core import (
     StorageOrder,
     as_shape,
     from_nested,
-    get,
     iter_indices,
     make_tensor,
-    squeeze_trailing,
     storage_strides,
     tensors_equal,
     to_nested,
@@ -93,7 +91,6 @@ __all__ = [
     "decompose_check",
     "format_report",
     "from_nested",
-    "get",
     "identity_matrix",
     "index_strides",
     "iter_indices",
@@ -110,7 +107,6 @@ __all__ = [
     "rvec_k",
     "shift",
     "shift_inverse",
-    "squeeze_trailing",
     "storage_strides",
     "tensors_equal",
     "to_nested",

@@ -9,7 +9,7 @@ the shifting operation builds on.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 
 from .core import (
@@ -34,40 +34,22 @@ class BlockTensor:
     The blocks, in the grid's storage order, are first-index-fastest views
     of one storage at offsets 0, n, 2n, ..., which holds exactly their
     elements: it is their concatenation, so :func:`unblock` reads it without
-    visiting the blocks.  Construction checks that the outer and block ranks
-    agree and that every block has exactly ``block_shape``; the grid's own
-    length check matches the block count to the outer size.  It then
-    concatenates the blocks, one gather each, and rebuilds the grid over
-    views of the result with its shape and strides kept, whatever form the
-    blocks had.  Immutable, like the blocks it holds.
+    visiting the blocks.  Only :func:`block` and :func:`transpose_outer` make
+    one, so that holds by construction; calling the class raises
+    ``TypeError``.  A pickle or copy rebuilds the grid as it was, each view
+    through ``DenseTensor``'s checking constructor, and pickle's memo keeps
+    their one storage.  Immutable, like the blocks it holds.
     """
 
     __slots__ = ("block_shape", "grid")
 
-    def __init__(self, block_shape: Shape, grid: DenseTensor) -> None:
-        if grid.rank != block_shape.rank:
-            raise BlockError(
-                f"outer rank {grid.rank} != block rank {block_shape.rank}"
-            )
-        # the blocks in grid storage order, the grid's own window of storage,
-        # end to end in one new storage
-        dims = block_shape.dims
-        runs = []
-        for b in grid.data[grid.offset : grid.offset + grid.size]:
-            if b.shape.dims != dims:
-                raise BlockError(
-                    f"block shape {list(b.shape.dims)} differs from {list(dims)}"
-                )
-            runs.append(gather(b.data, dims, b.strides, b.offset))
-        flat = tuple(chain.from_iterable(runs))
-        grid = DenseTensor(grid.shape, _views(block_shape, flat), grid.strides)
-        _set_block_shape(self, block_shape)
-        _set_grid(self, grid)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a BlockTensor is made only by block and transpose_outer")
 
     __setattr__ = __delattr__ = _read_only
 
     def __reduce__(self):
-        return BlockTensor, (self.block_shape, self.grid)
+        return _unchecked, (self.block_shape, self.grid)
 
     def __repr__(self) -> str:
         return f"BlockTensor(block_shape={self.block_shape!r}, grid={self.grid!r})"
@@ -85,10 +67,11 @@ _set_block_shape, _set_grid = _slot_setters(BlockTensor)
 
 
 def _unchecked(block_shape: Shape, grid: DenseTensor) -> BlockTensor:
-    """A :class:`BlockTensor` of ``grid`` as it is: its blocks must already
-    be canonical views of one storage at offsets 0, n, 2n, ... in grid
-    storage order, and that storage exactly their elements."""
-    bt = BlockTensor.__new__(BlockTensor)
+    """A :class:`BlockTensor` of ``grid`` as it is, the one way to make one:
+    its blocks must already be canonical views of one storage at offsets
+    0, n, 2n, ... in grid storage order, and that storage exactly their
+    elements."""
+    bt = object.__new__(BlockTensor)
     _set_block_shape(bt, block_shape)
     _set_grid(bt, grid)
     return bt
@@ -143,8 +126,8 @@ def unblock(bt: BlockTensor) -> DenseTensor:
     """Concatenate a block grid back into one tensor.
 
     Inverse of :func:`block`: the result has extents ``T_n * M_n/T_n`` and
-    keeps explicit rank ``k`` even when some extents are 1; squeezing is a
-    separate, caller-controlled step.
+    keeps explicit rank ``k`` even when some extents are 1; a caller that
+    wants fewer dims relabels the result itself, as ``shift`` does.
     """
     block_shape, grid = bt.block_shape, bt.grid
     sub, outer = block_shape.dims, grid.shape.dims

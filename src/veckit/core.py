@@ -56,9 +56,10 @@ def _read_only(self, name, *value):
 
 
 def _slot_setters(cls) -> list:
-    """One setter per slot of ``cls``, past its read-only ``__setattr__``, so
-    that only ``__init__`` fills the slots; copies and pickles rebuild a value
-    through ``__init__`` too (see each ``__reduce__``)."""
+    """One setter per slot of ``cls``, past its read-only ``__setattr__``, for
+    the constructors and the unchecked builders, the only code that fills
+    the slots; copies and pickles rebuild a value through them too (see each
+    ``__reduce__``)."""
     return [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
@@ -73,7 +74,10 @@ class Shape:
     __slots__ = ("dims", "size", "_strides")
 
     def __init__(self, dims: Sequence[int]) -> None:
-        dims = tuple(dims)
+        try:
+            dims = tuple(dims)
+        except TypeError:
+            raise ShapeError(f"{type(dims).__name__} is not a shape") from None
         if len(dims) == 0:
             raise ShapeError("rank must be at least 1")
         # the strides and size come from the checking loop, which costs less
@@ -148,7 +152,7 @@ def as_shape(value: ShapeLike) -> Shape:
     """Coerce a ``Shape`` or a sequence of extents into a ``Shape``."""
     if isinstance(value, Shape):
         return value
-    return Shape(tuple(value))
+    return Shape(value)
 
 
 def _last_index_fastest(order: StorageOrder) -> bool:
@@ -191,6 +195,12 @@ def gather(
     starting at ``offset``, and the first run is copied from each base as
     one extended slice.  A layout whose positions run past ``data`` raises
     :class:`ShapeError`.
+
+    The domain is every layout a :class:`DenseTensor` can hold: a stride on
+    a dimension of extent above 1 is non-negative, which ``DenseTensor``
+    refuses otherwise.  The run-past test reads only the last base plus one
+    run's span, so with a negative stride there it may return too few
+    elements, or the wrong ones, without an error.
     """
     runs = []
     m0 = s0 = 1
@@ -240,6 +250,15 @@ def check_index(shape: Shape, idx: Sequence[int]) -> IndexTuple:
     return idx
 
 
+def _check_position(m: int, size: int) -> None:
+    """Refuse a linear position ``m`` unless it is an ``int`` in
+    ``0 .. size-1``: :func:`check_index` of ``(m,)`` against the shape
+    ``[size]``, with its message, but building no shape; raises
+    ``IndexError``."""
+    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < size:
+        raise IndexError(f"index {(m,)} out of range for shape {[size]}")
+
+
 def _check_vector(a: DenseTensor, target: Shape | None = None) -> None:
     """Refuse ``a`` unless it is rank 1 and, given a ``target``, has exactly
     its size: the one vector check of the inverses; raises :class:`ShapeError`."""
@@ -273,7 +292,10 @@ class DenseTensor:
         strides: Sequence[int],
         offset: int | None = None,
     ) -> None:
-        data = tuple(data)
+        try:
+            data = tuple(data)
+        except TypeError:
+            raise ShapeError(f"{type(data).__name__} is not tensor data") from None
         strides = tuple(strides)
         dims = shape.dims
         if offset is None:
@@ -332,8 +354,7 @@ class DenseTensor:
         idx = check_index(self.shape, idx)
         return self.data[self.offset + sum(map(operator.mul, idx, self.strides))]
 
-    def __getitem__(self, idx: Sequence[int]) -> Scalar:
-        return self.get(idx)
+    __getitem__ = get
 
     def __repr__(self) -> str:
         # the view's own elements of the storage, as they are stored
@@ -376,7 +397,7 @@ def make_tensor(
     of the tensor file format only, and raise :class:`ShapeError` here.
     """
     shape = as_shape(shape)
-    return DenseTensor(shape, tuple(data), storage_strides(shape, order))
+    return DenseTensor(shape, data, storage_strides(shape, order))
 
 
 def elements(
@@ -391,9 +412,12 @@ def elements(
     return gather(t.data, dims, strides, t.offset)
 
 
-def get(t: DenseTensor, idx: Sequence[int]) -> Scalar:
-    """Element of ``t`` at ``idx``; function form of :meth:`DenseTensor.get`."""
-    return t.get(idx)
+def _slice_last(t: DenseTensor, k: int) -> tuple:
+    """The elements of ``t`` whose last index is ``k``, first index fastest:
+    one gather through ``t``'s strides that reads no other element.  ``k``
+    must already be checked."""
+    dims, strides = t.shape.dims, t.strides
+    return gather(t.data, dims[:-1], strides[:-1], t.offset + k * strides[-1])
 
 
 def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
@@ -414,20 +438,6 @@ def transpose(t: DenseTensor, m: int, n: int) -> DenseTensor:
     dims[a], dims[b] = dims[b], dims[a]
     strides[a], strides[b] = strides[b], strides[a]
     return _relabel(t, dims, tuple(strides))
-
-
-def squeeze_trailing(t: DenseTensor) -> DenseTensor:
-    """Drop every trailing extent equal to 1; rank never falls below 1.
-
-    Removing trailing singleton dimensions changes no element lookup, so
-    the stored data is reused as-is.
-    """
-    dims = list(t.shape.dims)
-    while len(dims) > 1 and dims[-1] == 1:
-        dims.pop()
-    if len(dims) == t.rank:
-        return t
-    return _relabel(t, dims, t.strides[: len(dims)])
 
 
 def _relabel(t: DenseTensor, dims: Sequence[int], strides: tuple) -> DenseTensor:

@@ -19,7 +19,7 @@ class DimError(TensorError):
 
 
 class BlockError(TensorError):
-    """Invalid block partition or malformed block grid."""
+    """An outer grid extent that does not divide the extent it partitions."""
 
 
 class FormatError(TensorError):

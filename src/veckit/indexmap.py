@@ -19,6 +19,7 @@ from .core import (
     IndexTuple,
     Shape,
     ShapeLike,
+    _check_position,
     _check_vector,
     as_shape,
     check_index,
@@ -49,7 +50,7 @@ def linear_index(idx: IndexTuple, shape: ShapeLike) -> LinearIndex:
 def tuple_index(m: LinearIndex, shape: ShapeLike) -> IndexTuple:
     """Index tuple at linear position ``m``; inverse of :func:`linear_index`."""
     shape = as_shape(shape)
-    check_index(Shape((shape.size,)), (m,))
+    _check_position(m, shape.size)
     return tuple(
         (m // s) % ext for s, ext in zip(index_strides(shape), shape.dims)
     )
@@ -64,7 +65,7 @@ def decompose_check(m: LinearIndex, shape: ShapeLike) -> bool:
     :func:`tuple_index`.
     """
     shape = as_shape(shape)
-    check_index(Shape((shape.size,)), (m,))
+    _check_position(m, shape.size)
     total = 0
     for s, ext in zip(index_strides(shape), shape.dims):
         total += s * ((m // s) % ext)

@@ -23,6 +23,7 @@ from .core import (
     Shape,
     StorageOrder,
     _check_vector,
+    _slice_last,
     check_index,
     elements,
     make_tensor,
@@ -99,10 +100,10 @@ def kronecker(x: Matrix2D, y: Matrix2D) -> Matrix2D:
 def matrix_column(x: Matrix2D, k: int) -> Matrix2D:
     """The k-th column (0-based) of ``x`` as an M x 1 matrix; a ``k`` that is
     not an ``int`` in ``0 .. N-1`` raises ``IndexError``."""
-    m, n = _dims2(x, "matrix")
+    m, _ = _dims2(x, "matrix")
     # column k exists exactly when (0, k) is an index of x
     check_index(x.shape, (0, k))
-    return make_tensor((m, 1), elements(x)[k * m : (k + 1) * m])
+    return make_tensor((m, 1), _slice_last(x, k))
 
 
 def vec2(x: Matrix2D) -> VecResult:

@@ -1,5 +1,7 @@
 """Partitioning into equal blocks, grid transposes, and concatenation."""
 
+import pickle
+
 import pytest
 
 import veckit as vk
@@ -67,20 +69,6 @@ def test_unblock_inverts_block(golden, outer):
     assert vk.tensors_equal(unblock(block(golden, outer)), golden)
 
 
-def test_unblock_gathers_strided_blocks(golden):
-    # block() gives every block its shape's own first-index-fastest strides;
-    # a grid built by hand from row-major copies is concatenated when built
-    bt = block(golden, (1, 1, 3))
-    row = StorageOrder.LAST_INDEX_FASTEST
-    copies = [
-        vk.make_tensor(b.shape, elements(b, row), row)
-        for b in map(bt.block_at, iter_indices(bt.outer_shape))
-    ]
-    assert {b.strides for b in copies} == {(2, 1, 1)}
-    hand = BlockTensor(bt.block_shape, vk.make_tensor(bt.outer_shape, copies))
-    assert vk.tensors_equal(unblock(hand), unblock(bt))
-
-
 def test_unblock_keeps_explicit_rank():
     t = sequential((4, 1))
     out = unblock(block(t, (2, 1)))
@@ -123,12 +111,20 @@ def test_transpose_outer_of_wide_grid_dims_unblocks_by_index(outer, m, n):
 
 
 def test_unblock_follows_a_row_major_grid():
-    bt = block(sequential((4, 6, 2)), (2, 3, 2))
-    row = StorageOrder.LAST_INDEX_FASTEST
-    blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape, row)]
-    hand = BlockTensor(bt.block_shape, vk.make_tensor(bt.outer_shape, blocks, row))
-    assert hand.grid.strides == (6, 2, 1)
-    assert vk.tensors_equal(unblock(hand), unblock(bt))
+    # swapping the outer dims of a 2x3x2 grid lists its blocks last grid
+    # index fastest; the element at p is the source's at q * S + l, with
+    # q's first and last dims swapped back
+    t = sequential((2, 6, 4))
+    row = transpose_outer(block(t, (2, 3, 2)), 1, 3)
+    last_fastest = vk.storage_strides(row.outer_shape, StorageOrder.LAST_INDEX_FASTEST)
+    assert row.grid.strides == last_fastest == (6, 2, 1)
+    out = unblock(row)
+    sub = row.block_shape.dims
+    for p in iter_indices(out.shape):
+        q = [pi // s for pi, s in zip(p, sub)]
+        q[0], q[2] = q[2], q[0]
+        r = tuple(qn * s + pi % s for qn, s, pi in zip(q, sub, p))
+        assert out.get(p) == t.get(r)
 
 
 def test_transpose_outer_same_dim_is_identity(golden):
@@ -147,24 +143,19 @@ def test_transpose_outer_rejects_out_of_range(golden):
 
 
 def test_unblock_concatenates_views_listed_out_of_offset_order():
-    # canonical views of one storage, but not at offsets 0, n, 2n, ... in
-    # grid storage order: ``block`` never builds such a grid, and the
-    # constructor must not take that storage as the concatenation
-    for dims in ((3,), (3, 2)):
-        s = vk.Shape(dims)
-        n = s.size
-        data = tuple(range(2 * n))
-        views = [vk.DenseTensor(s, data, vk.storage_strides(s), o) for o in (n, 0)]
-        grid = vk.make_tensor((2,) + (1,) * (len(dims) - 1), views)
-        got = unblock(BlockTensor(s, grid))
+    # a transposed grid lists its views, in index order, out of offset
+    # order; unblock must place each view by its grid index, not by where
+    # it starts in the one storage
+    for dims in ((3, 1), (3, 2)):
+        bt = transpose_outer(block(sequential((6, 2 * dims[1])), (2, 2)), 1, 2)
+        views = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
+        offsets = [v.offset for v in views]
+        assert offsets != sorted(offsets)
+        got = unblock(bt)
         for p in iter_indices(got.shape):
-            q, l = p[0] // dims[0], (p[0] % dims[0],) + p[1:]
-            assert got.get(p) == views[q].get(l)
-    # a grid that is itself a view: only its own window holds blocks
-    s = vk.Shape((2,))
-    b0, b1 = (vk.make_tensor(s, pair) for pair in ((1, 2), (3, 4)))
-    grid = vk.DenseTensor(vk.Shape((2,)), (None, b0, b1, None), (1,), 1)
-    assert elements(unblock(BlockTensor(s, grid))) == (1, 2, 3, 4)
+            q = tuple(pn // s for pn, s in zip(p, dims))
+            l = tuple(pn % s for pn, s in zip(p, dims))
+            assert got.get(p) == bt.block_at(q).get(l)
 
 
 def test_block_hands_out_views_of_one_storage():
@@ -202,24 +193,28 @@ _NOT_ONE_STORAGE = {
 
 @pytest.mark.parametrize("case", sorted(_NOT_ONE_STORAGE))
 def test_block_tensor_rebuilds_a_grid_that_is_not_one_storage(case):
-    # the grid keeps its shape, strides and blocks' elements over one new
-    # storage that holds the blocks end to end in grid storage order
+    # such a grid is not taken as it is: the class refuses it, and the grid
+    # of the same blocks is rebuilt by block from their concatenation, as
+    # one storage holding the blocks end to end in grid storage order
     s = vk.Shape((2, 2))
     pair = _NOT_ONE_STORAGE[case](s)
     grid = vk.make_tensor((1, 2), pair, StorageOrder.LAST_INDEX_FASTEST)
+    with pytest.raises(TypeError):
+        BlockTensor(s, grid)
 
     def check(bt):
-        assert (bt.outer_shape, bt.grid.strides) == (grid.shape, grid.strides)
+        assert bt.outer_shape == grid.shape
+        assert bt.grid.strides == vk.storage_strides(grid.shape)
         blocks = [bt.block_at(q) for q in iter_indices(bt.outer_shape)]
         assert [elements(b) for b in blocks] == [elements(b) for b in pair]
         assert [(b.strides, b.offset) for b in blocks] == [((1, 2), 0), ((1, 2), 4)]
         assert blocks[1].data is blocks[0].data
         assert len(blocks[0].data) == 8
 
-    bt = BlockTensor(s, grid)
+    bt = block(vk.make_tensor((2, 4), elements(pair[0]) + elements(pair[1])), (1, 2))
     check(bt)
-    # a grid already in that form rebuilds to an equal grid
-    check(BlockTensor(s, bt.grid))
+    # a pickled copy rebuilds the grid as it was, over one storage again
+    check(pickle.loads(pickle.dumps(bt)))
 
 
 def test_unblock_reads_no_block_after_the_first():
@@ -242,7 +237,8 @@ def test_block_tensor_rejects_wrong_count():
 
 
 def test_block_tensor_rejects_mixed_shapes():
-    with pytest.raises(BlockError):
+    # a grid of the right count is refused too: no grid is built by hand
+    with pytest.raises(TypeError):
         BlockTensor(
             vk.Shape((2,)),
             vk.make_tensor((2,), (sequential((2,)), sequential((3,)))),
@@ -251,7 +247,7 @@ def test_block_tensor_rejects_mixed_shapes():
 
 def test_block_tensor_rejects_rank_mismatch():
     piece = sequential((2,))
-    with pytest.raises(BlockError):
+    with pytest.raises(TypeError):
         BlockTensor(vk.Shape((2,)), vk.make_tensor((1, 1), (piece,)))
 
 
@@ -259,3 +255,17 @@ def test_block_at_rejects_bad_index(golden):
     bt = block(golden, (1, 1, 3))
     with pytest.raises(IndexError):
         bt.block_at((0, 0, 3))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(), ("grid",), ("block_shape", "grid")],
+    ids=lambda fields: "-".join(fields) or "none",
+)
+def test_block_tensor_is_made_only_by_block_and_transpose_outer(fields):
+    # no grid is built by hand: not one of strided blocks, of blocks over
+    # several storages, or of the wrong count, rank or block shape, and not
+    # even a copy of a grid that block made
+    bt = block(sequential((2, 6)), (1, 3))
+    with pytest.raises(TypeError, match="made only by block and transpose_outer"):
+        BlockTensor(*(getattr(bt, name) for name in fields))

@@ -227,7 +227,7 @@ def test_getitem_and_function_form(golden):
     assert golden[(0, 1, 0)] == 4
     assert golden[(1, 1, 2)] == 12
     assert golden[(0, 0, 2)] == 3
-    assert vk.get(golden, (1, 0, 0)) == 7
+    assert golden.get((1, 0, 0)) == 7
 
 
 @pytest.mark.parametrize("idx", [(0,), (0, 0, 0, 0), (2, 0, 0), (0, -1, 0), (0, 0, 3), (0, True, 0)])
@@ -287,13 +287,6 @@ def test_shape_extent_refuses_dimension_numbers_that_are_not_integers():
         assert str(info.value) == f"dimension {n!r} is not an integer"
 
 
-def test_squeeze_trailing_drops_all_trailing_ones():
-    t = vk.make_tensor((2, 1, 1), [5, 6])
-    s = vk.squeeze_trailing(t)
-    assert s.shape.dims == (2,)
-    assert list(s.data) == [5, 6]
-
-
 @pytest.mark.parametrize("order", list(StorageOrder), ids=lambda order: order.value)
 def test_relabel_passes_on_the_strides_it_is_given(order):
     # adding or removing trailing extent-1 dimensions keeps the storage, the
@@ -302,7 +295,7 @@ def test_relabel_passes_on_the_strides_it_is_given(order):
     t = vk.make_tensor((2, 3), range(6), order)
     view = vk.DenseTensor(t.shape, (-1,) + t.data, t.strides, 1)
     up = _relabel(view, (2, 3, 1, 1), view.strides + (6, 6))
-    down = vk.squeeze_trailing(up)
+    down = _drop_trailing_axis(_drop_trailing_axis(up))
     assert vk.to_nested(up) == [[[[x]] for x in row] for row in vk.to_nested(t)]
     assert down.shape.dims == (2, 3) and vk.to_nested(down) == vk.to_nested(t)
     assert up.strides == t.strides + (6, 6) and down.strides == t.strides
@@ -311,21 +304,6 @@ def test_relabel_passes_on_the_strides_it_is_given(order):
     assert _drop_trailing_axis(one_more).strides == t.strides
     for u in (up, down, one_more):
         assert u.data is view.data and u.offset == 1
-
-
-def test_squeeze_trailing_keeps_rank_one():
-    t = vk.make_tensor((1, 1), [3])
-    assert vk.squeeze_trailing(t).shape.dims == (1,)
-
-
-def test_squeeze_trailing_noop_returns_same_object():
-    t = vk.make_tensor((2, 3), range(6))
-    assert vk.squeeze_trailing(t) is t
-
-
-def test_squeeze_trailing_keeps_interior_ones():
-    t = vk.make_tensor((2, 1, 2, 1), [1, 2, 3, 4])
-    assert vk.squeeze_trailing(t).shape.dims == (2, 1, 2)
 
 
 def test_tensors_equal_is_shape_strict():

@@ -38,11 +38,11 @@ per op, with the same copying counts.
 No copy happens outside a gather.  ``block`` hands out its blocks as views
 of its one gather's tuple, at offsets 0, n, 2n, ...; ``unblock`` takes that
 tuple as the blocks' concatenation, since they are listed in grid storage
-order, and never visits a later block.  Only the ``BlockTensor`` constructor
-concatenates, and only a grid built by hand.  So a shift of a tensor
-stored in the order asked for copies nothing, and storage sharing is
-counted too: such a flattening, and every inverse of a vector, returns its
-input's own storage object.
+order, and never visits a later block.  Only ``block`` and
+``transpose_outer`` make grids, so no grid is concatenated block by block.
+So a shift of a tensor stored in the order asked for copies nothing, and
+storage sharing is counted too: such a flattening, and every inverse of a
+vector, returns its input's own storage object.
 
 Memory is counted as tracemalloc's peak over one op, against ceilings per
 block, per dim and per copied element.  Each block of the op's largest grid holds its view,

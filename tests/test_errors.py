@@ -36,6 +36,11 @@ CALLS = {
     "run_all-float-cases": (lambda: verify.run_all(cases=2.5), ShapeError),
     "run_all-str-rank": (lambda: verify.run_all(max_rank="3"), ShapeError),
     "run_all-bool-extent": (lambda: verify.run_all(max_extent=True), ShapeError),
+    "as_shape-int": (lambda: vk.as_shape(3), ShapeError),
+    "vec_inverse-int-shape": (lambda: vk.vec_inverse(V, 12), ShapeError),
+    "unvec_by_index-none-shape": (lambda: vk.unvec_by_index(V, None), ShapeError),
+    "index_strides-int": (lambda: vk.index_strides(5), ShapeError),
+    "make_tensor-none-data": (lambda: vk.make_tensor((2,), None), ShapeError),
 }
 
 

@@ -45,8 +45,12 @@ def test_tuple_index_examples():
 
 
 def test_tuple_index_rejects_out_of_range():
-    with pytest.raises(IndexError):
+    # the message of a rank-1 index against the shape [size]
+    message = r"^index \({},\) out of range for shape \[12\]$"
+    with pytest.raises(IndexError, match=message.format(12)):
         tuple_index(12, (2, 2, 3))
+    with pytest.raises(IndexError, match=message.format(-1)):
+        decompose_check(-1, (2, 2, 3))
     with pytest.raises(IndexError):
         tuple_index(-1, (2, 2, 3))
 

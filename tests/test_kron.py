@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import veckit as vk
-from veckit import kron2d
+from veckit import core, kron2d
 from veckit import (
     ShapeError,
     as_column,
@@ -167,6 +167,32 @@ def test_matrix_column():
         ]
     with pytest.raises(IndexError):
         matrix_column(x, 2)
+
+
+def test_matrix_column_reads_one_column_of_a_row_major_matrix(monkeypatch):
+    # kronecker's outputs are row-major; column k is read through their
+    # strides, m elements, rather than from a listing of the whole matrix
+    big = kronecker(identity_matrix(3), as_column(vk.make_tensor((4,), [1, 2, 3, 4])))
+    assert big.strides == (3, 1)
+    rows = vk.to_nested(big)
+    listed = []
+    gather = core.gather
+
+    def counting(data, dims, strides, offset):
+        out = gather(data, dims, strides, offset)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(core, "gather", counting)
+    columns = [matrix_column(big, k) for k in range(3)]
+    monkeypatch.undo()
+    # one gather of the 12 elements of each column, not of all 36
+    assert listed == [12, 12, 12]
+    for k, column in enumerate(columns):
+        assert vk.to_nested(column) == [[row[k]] for row in rows]
+    for k in (3, -1, 1.0):
+        with pytest.raises(IndexError):
+            matrix_column(big, k)
 
 
 def test_vec2_matrix():

@@ -9,26 +9,22 @@ are the same layout).  On each one both flattenings must match the index
 route, both round trips must restore the tensor, and a file written in
 either element order must read back as the same tensor.  This reaches the
 readers that take ``core.gather``'s tuple, ``unblock``, ``tensors_equal``
-and ``write_tensor``, on layouts a random draw rarely makes.  Each layout is
-also unblocked as a one-block grid: ``block`` only builds blocks with
-canonical strides, so only such a hand-built grid reaches the
-``BlockTensor`` constructor's gather of a strided block.  Every layout is
-checked twice: as a tensor of its own storage, and as a view placed at a
-nonzero offset inside a longer storage of other values.
+and ``write_tensor``, on layouts a random draw rarely makes.  Every layout
+is checked twice: as a tensor of its own storage, and as a view placed at
+a nonzero offset inside a longer storage of other values.
 
 The relabels build their results unchecked: ``transpose`` of every dim
-pair, ``reverse_dims``, a trailing extent-1 dim added and dropped, and
-``squeeze_trailing``.  So each relabel of each layout is rebuilt here
-through the checking ``DenseTensor`` constructor, which must accept its
-strides and offset, and read index by index against the source.
+pair, ``reverse_dims``, and a trailing extent-1 dim added and dropped.  So
+each relabel of each layout is rebuilt here through the checking
+``DenseTensor`` constructor, which must accept its strides and offset, and
+read index by index against the source.
 
 Every ``BlockTensor`` holds its blocks as first-index-fastest views of one
 storage at offsets 0, n, 2n, ... in grid storage order, a storage that
 holds nothing else, and ``unblock`` reads that storage without visiting
-the blocks.  So every grid ``block`` builds from each layout, and its grid
-transpose, must be in that form, and so must every hand-built grid, which
-the constructor concatenates (the one-block grid of a strided or placed
-layout, or ``block``'s own views listed last grid index fastest).
+the blocks.  Only ``block`` and ``transpose_outer`` make grids, so every
+grid ``block`` builds from each layout, and each of its grid transposes,
+must be in that form, and must unblock back to the layout's elements.
 """
 
 import itertools
@@ -37,17 +33,15 @@ import pytest
 
 import veckit as vk
 from veckit import (
-    BlockTensor,
     DenseTensor,
     Shape,
-    StorageOrder,
     block,
     read_tensor,
     transpose_outer,
     unblock,
     write_tensor,
 )
-from veckit.core import elements, iter_indices, squeeze_trailing, transpose
+from veckit.core import elements, iter_indices, transpose
 from veckit.indexmap import vec_by_index
 from veckit.vecops import _append_trailing_axis, _drop_trailing_axis, reverse_dims
 
@@ -114,7 +108,6 @@ def _relabels(t):
     up = _append_trailing_axis(t)
     yield up, lambda p: p[:-1]
     yield _drop_trailing_axis(up), lambda p: p
-    yield squeeze_trailing(t), lambda p: (*p, *[0] * (k - len(p)))
 
 
 @pytest.mark.parametrize("rank", sorted(LAYOUTS))
@@ -132,10 +125,6 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
             for order in ("row-major", "column-major"):
                 write_tensor(t, path, order)
                 _same(read_tensor(path), t)
-            grid = vk.make_tensor((1,) * rank, [t])
-            whole = BlockTensor(t.shape, grid)
-            _one_storage(whole)
-            _same(unblock(whole), t)
             # the relabels build unchecked; the checking constructor must
             # take what they build, and each index read the source's
             for u, source in _relabels(t):
@@ -148,17 +137,12 @@ def test_every_storage_order_matches_the_index_route(tmp_path, rank):
 
 @pytest.mark.parametrize("rank", sorted(LAYOUTS))
 def test_every_grid_of_every_storage_order_is_one_storage(rank):
-    row = StorageOrder.LAST_INDEX_FASTEST
+    pairs = list(itertools.combinations(range(1, rank + 1), 2))
     for layout in _layouts(rank):
         for outer in _outers(layout.shape.dims):
             for t in (layout, _placed(layout)):
                 bt = block(t, outer)
                 _one_storage(bt)
-                _one_storage(transpose_outer(bt, 1, rank))
-            # the same grid, its views listed out of offset order when two
-            # grid dims are wide: rebuilt in grid storage order
-            listed = [bt.block_at(q) for q in iter_indices(outer, row)]
-            hand = BlockTensor(bt.block_shape, vk.make_tensor(outer, listed, row))
-            _one_storage(hand)
-            assert hand.grid.strides == vk.storage_strides(hand.outer_shape, row)
-            assert elements(unblock(hand)) == elements(layout)
+                _same(unblock(bt), t)
+                for m, n in pairs:
+                    _one_storage(transpose_outer(bt, m, n))

@@ -50,11 +50,13 @@ def _same(a, b):
     if isinstance(a, vk.DenseTensor):
         return a.strides == b.strides and vk.tensors_equal(a, b)
     if isinstance(a, BlockTensor):
+        # the blocks of each are views of one storage, which copies keep
         return (
             a.block_shape == b.block_shape
             and a.grid.shape == b.grid.shape
             and a.grid.strides == b.grid.strides
             and all(map(_same, a.grid.data, b.grid.data))
+            and all(v.data is a.grid.data[0].data for v in a.grid.data)
         )
     return a == b
 
@@ -144,6 +146,8 @@ class _Extent(int):
         ((2.0,), "extent 2.0 is not an integer"),
         ((3, 0), "extent 0 must be at least 1"),
         ((-1, 0.5), "extent -1 must be at least 1"),
+        (3, "int is not a shape"),
+        (None, "NoneType is not a shape"),
     ],
 )
 def test_shape_errors_keep_their_messages(dims, message):
@@ -165,6 +169,9 @@ def test_shape_accepts_int_subclass_extents():
         ((1,), "strides (1,) are not 2 integers"),
         ((1, 2, 6), "strides (1, 2, 6) are not 2 integers"),
         ((1, 3), "strides (1, 3) do not tile shape [2, 3]"),
+        # gather's domain: no negative stride on a dim of extent above 1
+        ((-1, 2), "strides (-1, 2) do not tile shape [2, 3]"),
+        ((1, -2), "strides (1, -2) do not tile shape [2, 3]"),
     ],
 )
 def test_dense_tensor_errors_keep_their_messages(strides, message):
@@ -378,10 +385,9 @@ def test_verify_catches_a_rotated_matrix_column(tmp_path):
     # both sides of a comparison through it
     _verify_mutant(
         tmp_path,
-        "elements(x)[k * m : (k + 1) * m]",
-        "elements(x)[(k + 1) % n * m : ((k + 1) % n + 1) * m]",
+        "t.offset + k * strides[-1]",
+        "t.offset + (k + 1) % dims[-1] * strides[-1]",
         max_rank=4,
-        module="kron2d.py",
     )
 
 

@@ -47,7 +47,7 @@ def test_shift_with_singleton_last_extent():
     t = sequential((2, 3, 1))
     got = shift(t)
     assert got.shape.dims == (2, 3)
-    assert vk.tensors_equal(got, vk.squeeze_trailing(t))
+    assert vk.tensors_equal(got, sequential((2, 3)))
 
 
 def test_shift_keeps_interior_singletons():
@@ -71,7 +71,7 @@ def test_shift_inverse_extent_one_appends_axis():
     t = sequential((2, 3))
     got = shift_inverse(t, 1)
     assert got.shape.dims == (2, 3, 1)
-    assert vk.tensors_equal(vk.squeeze_trailing(got), t)
+    assert vk.tensors_equal(got, sequential((2, 3, 1)))
 
 
 def test_shift_inverse_rejects_non_divisor():
